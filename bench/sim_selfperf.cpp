@@ -9,6 +9,10 @@
 //     measured over a high-contention 16-thread Euno run (the hot path:
 //     mem_access -> doom check -> coherence cost -> HTM protocol), with
 //     observability OFF — the number PR-over-PR regression checks gate on.
+//   - switches_per_access: fiber stack switches per instrumented access in
+//     the same run. Host-independent (a function of the simulated
+//     interleaving only), so it must not move between two runs; it explains
+//     how much of wall_ns_per_access is scheduler traffic.
 //   - obs_on_wall_ns_per_access: the same run with every obs channel ON
 //     (latency + contention + trace), tracking the cost of instrumentation;
 //     the sim results must stay bit-identical either way.
@@ -105,6 +109,10 @@ int main(int argc, char** argv) {
   const double ns_per_access =
       hr.mem_accesses > 0 ? hot_ms * 1e6 / static_cast<double>(hr.mem_accesses)
                           : 0;
+  const double switches_per_access =
+      hr.mem_accesses > 0 ? static_cast<double>(hr.fiber_switches) /
+                                static_cast<double>(hr.mem_accesses)
+                          : 0;
 
   // Same run, all observability channels on: the delta is the full cost of
   // instrumentation, and the simulated quantities must not move at all.
@@ -121,7 +129,8 @@ int main(int argc, char** argv) {
                            : 0;
   const bool obs_identical = orr.sim_cycles == hr.sim_cycles &&
                              orr.aborts_total == hr.aborts_total &&
-                             orr.mem_accesses == hr.mem_accesses;
+                             orr.mem_accesses == hr.mem_accesses &&
+                             orr.fiber_switches == hr.fiber_switches;
   const double obs_overhead_pct =
       ns_per_access > 0 ? 100.0 * (obs_ns_per_access / ns_per_access - 1.0) : 0;
 
@@ -197,6 +206,8 @@ int main(int argc, char** argv) {
 
   stats::Table table({"metric", "value"});
   table.add_row({"wall_ns_per_access", stats::Table::num(ns_per_access, 1)});
+  table.add_row({"switches_per_access",
+                 stats::Table::num(switches_per_access, 3)});
   table.add_row({"obs_on_wall_ns_per_access",
                  stats::Table::num(obs_ns_per_access, 1)});
   table.add_row({"obs_overhead_pct", stats::Table::num(obs_overhead_pct, 1)});
@@ -230,10 +241,12 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.kv("bench", "sim_selfperf");
     w.kv("wall_ns_per_access", ns_per_access, 2);
+    w.kv("switches_per_access", switches_per_access, 4);
     w.kv("obs_on_wall_ns_per_access", obs_ns_per_access, 2);
     w.kv("obs_overhead_pct", obs_overhead_pct, 2);
     w.kv("obs_bit_identical", obs_identical);
     w.kv("hot_run_accesses", hr.mem_accesses);
+    w.kv("hot_run_switches", hr.fiber_switches);
     w.kv("hot_run_ms", hot_ms, 2);
     w.kv("simd_kernel", simd_k.name);
     w.kv("search_fanout", kSearchFanout);

@@ -44,7 +44,10 @@
 # arithmetic (bitmask shifts, placement news, union reinterpretation) would
 # surface UB — together with the `fault` and `lin` labels (the mutation
 # self-tests exercise deliberately broken splice/handshake paths, the one
-# place stale-pointer arithmetic is reachable on purpose).
+# place stale-pointer arithmetic is reachable on purpose) and the
+# `sim-engine` label (the scheduler reference-model test). UBSan is the one
+# sanitizer build that keeps the engine's hand-written x86-64 stack switch;
+# ASan and TSan builds switch fibers with swapcontext instead.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -80,7 +83,7 @@ case "$job" in
   ubsan)
     cmake -B build-ubsan -S . -DEUNO_UBSAN=ON
     cmake --build build-ubsan -j
-    ctest --test-dir build-ubsan --output-on-failure -L "conformance|fault|lin"
+    ctest --test-dir build-ubsan --output-on-failure -L "conformance|fault|lin|sim-engine"
     ;;
   *)
     echo "usage: $0 [default|tsan|asan|ubsan]" >&2

@@ -439,6 +439,7 @@ ExperimentResult run_store_sim(const ExperimentSpec& spec) {
     wasted += simulation.counters(t).cycles_wasted;
     clock_sum += simulation.clock_of(t);
   }
+  r.fiber_switches = simulation.switch_count();
   r.instructions_per_op =
       static_cast<double>(instr) / static_cast<double>(r.ops);
   r.wasted_cycle_frac =
@@ -654,6 +655,7 @@ ExperimentResult run_sim_with(const ExperimentSpec& spec, MakeTree make,
     wasted += simulation.counters(t).cycles_wasted;
     clock_sum += simulation.clock_of(t);
   }
+  r.fiber_switches = simulation.switch_count();
   r.instructions_per_op = static_cast<double>(instr) / static_cast<double>(r.ops);
   r.wasted_cycle_frac =
       clock_sum > 0 ? static_cast<double>(wasted) / static_cast<double>(clock_sum)

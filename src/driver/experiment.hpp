@@ -111,6 +111,9 @@ struct ExperimentResult {
   std::uint64_t fault_capacity_phases = 0;
   // Cost accounting.
   std::uint64_t mem_accesses = 0;  // instrumented accesses (sim engine only)
+  /// Fiber stack switches (sim engine only; Simulation::switch_count). A
+  /// host-cost diagnostic for bench/sim_selfperf, kept out of manifests.
+  std::uint64_t fiber_switches = 0;
   double instructions_per_op = 0;
   double wasted_cycle_frac = 0;  // cycles in aborted attempts / total cycles
   // Memory (bytes live at end of run, by the §5.7 classes).

@@ -18,9 +18,10 @@
 // back in.
 //
 // The inline buffer spills into a growable byte vector when full, and
-// flush() moves any buffered tail there explicitly — the engine flushes at
-// every scheduler switch and SimCtx flushes at transaction boundaries, so
-// the inline buffer never holds events across a core switch (per-core
+// flush() moves any buffered tail there explicitly (SimCtx flushes at
+// transaction boundaries). Where the tail sits never changes the stream:
+// each ring is written by one core only, and decode() reads the spill then
+// the inline tail, so a ring may hold events across fiber switches (per-core
 // streams stay contiguous and clock-ordered; see Simulation::trace_events
 // for the cross-core merge). The delta encoding survives even a
 // non-monotonic clock (deltas are mod-2^64 and decode re-accumulates), it
@@ -63,7 +64,7 @@ class EventRing {
   }
 
   /// Move the inline buffer's tail into the spill vector. Cheap when empty;
-  /// called at scheduler switches and transaction boundaries.
+  /// called at transaction boundaries.
   void flush() {
     if (size_ == 0) return;
     spill_.insert(spill_.end(), buf_, buf_ + size_);

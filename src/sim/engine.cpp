@@ -1,13 +1,5 @@
-// Fiber switching jumps between stacks with _setjmp/_longjmp; the fortified
-// __longjmp_chk rejects cross-stack jumps, so force the plain symbols in this
-// translation unit regardless of toolchain defaults.
-#ifdef _FORTIFY_SOURCE
-#undef _FORTIFY_SOURCE
-#endif
-
 #include "sim/engine.hpp"
 
-#include <setjmp.h>
 #include <sys/mman.h>
 
 #include <algorithm>
@@ -86,6 +78,68 @@ StackPool& stack_pool() {
   return pool;
 }
 
+#if defined(EUNO_SIM_FAST_SWITCH)
+// The stack switch (x86-64 System V): push the callee-saved registers, then
+// MXCSR and the x87 control word in one 8-byte slot; store the stack pointer
+// through `save`, load `next` and pop the same frame from it. spawn() builds
+// a fresh fiber's frame so that the `ret` lands in euno_sim_fiber_entry with
+// r12 = Simulation*, r13 = spawn index, r14 = fiber_entry; the stub's CFI
+// marks it as the outermost frame so backtraces stop there.
+extern "C" {
+__attribute__((visibility("hidden"))) void euno_sim_swap(void** save,
+                                                         void* next);
+__attribute__((visibility("hidden"))) void euno_sim_fiber_entry();
+}
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl euno_sim_swap
+  .hidden euno_sim_swap
+  .type euno_sim_swap, @function
+euno_sim_swap:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size euno_sim_swap, .-euno_sim_swap
+
+  .p2align 4
+  .globl euno_sim_fiber_entry
+  .hidden euno_sim_fiber_entry
+  .type euno_sim_fiber_entry, @function
+euno_sim_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  movq %r13, %rsi
+  call *%r14
+  ud2
+  .cfi_endproc
+  .size euno_sim_fiber_entry, .-euno_sim_fiber_entry
+  .popsection
+)");
+
+void fiber_entry(Simulation* simulation, std::uint64_t index) {
+  simulation->fiber_main(static_cast<int>(index));
+}
+#else
 // makecontext only passes ints; stash the simulation + fiber index through
 // a pair of 32-bit halves of `this`.
 void trampoline(unsigned hi, unsigned lo, unsigned index) {
@@ -93,6 +147,40 @@ void trampoline(unsigned hi, unsigned lo, unsigned index) {
   auto* simulation = reinterpret_cast<Simulation*>(bits);
   simulation->fiber_main(static_cast<int>(index));
 }
+#endif
+
+// Scheduler keys: (clock, spawn index) packed so that one integer compare
+// orders them. One fiber per core, so spawn indices fit the low bits.
+constexpr int kIndexBits = 5;
+constexpr std::uint64_t kIndexMask = (1u << kIndexBits) - 1;
+constexpr std::uint64_t kNoKey = ~0ull;  // empty tournament slot
+static_assert(MachineConfig::kMaxCores <= (1 << kIndexBits));
+
+std::uint64_t run_key(std::uint64_t clock, std::uint32_t index) {
+  // clock < 2^58 keeps every key below kNoKey.
+  EUNO_ASSERT_MSG(clock < (1ull << (63 - kIndexBits)),
+                  "simulated clock overflows the scheduler key");
+  return clock << kIndexBits | index;
+}
+
+// Loser tree with m leaf slots: t[0] holds the winner (the minimum key),
+// t[1..m-1] the loser of each internal match, node p's children being 2p
+// and 2p+1 and leaf slot s sitting at node m + s. Put `key` into the winner's
+// slot and replay that slot's matches up to the root: one fixed path of
+// log2(m) branch-free steps.
+void tourney_replay(std::uint64_t* t, std::size_t m, std::size_t slot,
+                    std::uint64_t key) {
+  for (std::size_t p = (m + slot) >> 1; p > 0; p >>= 1) {
+    // Each match is a coin flip, so select with a mask, not a branch.
+    const std::uint64_t other = t[p];
+    const std::uint64_t flip =
+        (key ^ other) & (0 - static_cast<std::uint64_t>(other < key));
+    t[p] = other ^ flip;  // the loser stays at p
+    key ^= flip;          // the winner plays on
+  }
+  t[0] = key;
+}
+
 }  // namespace
 
 Simulation*& current_simulation() {
@@ -111,9 +199,8 @@ Simulation::Simulation(MachineConfig cfg)
 
 Simulation::~Simulation() {
   for (auto& f : fibers_) {
-    if (f->stack) {
-      stack_pool().release(static_cast<char*>(f->stack) - kGuardBytes);
-    }
+    stack_pool().release(static_cast<char*>(const_cast<void*>(f->ctx.stack)) -
+                         kGuardBytes);
   }
 }
 
@@ -125,20 +212,43 @@ void Simulation::spawn(int core, std::function<void(int)> body) {
   }
   auto fiber = std::make_unique<Fiber>();
   fiber->core = core;
+  fiber->index = static_cast<std::uint32_t>(fibers_.size());
   fiber->body = std::move(body);
 
-  void* base = stack_pool().acquire();
-  fiber->stack = static_cast<char*>(base) + kGuardBytes;
-  fiber->stack_bytes = kStackBytes;
+  char* stack = static_cast<char*>(stack_pool().acquire()) + kGuardBytes;
+  fiber->ctx.stack = stack;
+  fiber->ctx.stack_bytes = kStackBytes;
 
-  EUNO_ASSERT(getcontext(&fiber->uctx) == 0);
-  fiber->uctx.uc_stack.ss_sp = fiber->stack;
-  fiber->uctx.uc_stack.ss_size = fiber->stack_bytes;
-  fiber->uctx.uc_link = &main_uctx_;
+#if defined(EUNO_SIM_FAST_SWITCH)
+  // The frame euno_sim_swap pops on first entry (lowest address first):
+  // MXCSR | x87 control word (inherited from the spawning thread, as
+  // getcontext would), r15, r14, r13, r12, rbx, rbp (0: outermost frame),
+  // return address. The stack top is page-aligned, so the entry stub runs
+  // with the 16-byte alignment the ABI requires before its call.
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpu_cw = 0;
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fpu_cw));
+  auto* frame = reinterpret_cast<std::uint64_t*>(stack + kStackBytes) - 8;
+  frame[0] = mxcsr | static_cast<std::uint64_t>(fpu_cw) << 32;
+  frame[1] = 0;
+  frame[2] = reinterpret_cast<std::uint64_t>(&fiber_entry);
+  frame[3] = fiber->index;
+  frame[4] = reinterpret_cast<std::uint64_t>(this);
+  frame[5] = 0;
+  frame[6] = 0;
+  frame[7] = reinterpret_cast<std::uint64_t>(&euno_sim_fiber_entry);
+  fiber->ctx.sp = frame;
+#else
+  ucontext_t& uctx = fiber->ctx.uctx;
+  EUNO_ASSERT(getcontext(&uctx) == 0);
+  uctx.uc_stack.ss_sp = stack;
+  uctx.uc_stack.ss_size = kStackBytes;
+  uctx.uc_link = nullptr;  // fiber_main never returns
   const auto bits = reinterpret_cast<std::uint64_t>(this);
-  makecontext(&fiber->uctx, reinterpret_cast<void (*)()>(trampoline), 3,
+  makecontext(&uctx, reinterpret_cast<void (*)()>(trampoline), 3,
               static_cast<unsigned>(bits >> 32), static_cast<unsigned>(bits),
-              static_cast<unsigned>(fibers_.size()));
+              fiber->index);
+#endif
   if (core_fiber_.size() <= static_cast<std::size_t>(core)) {
     core_fiber_.resize(static_cast<std::size_t>(core) + 1, nullptr);
   }
@@ -148,10 +258,18 @@ void Simulation::spawn(int core, std::function<void(int)> body) {
 
 void Simulation::fiber_main(int index) {
   Fiber& f = *fibers_[static_cast<std::size_t>(index)];
-  // First time on this fiber's stack: complete the switch resume() started,
-  // learning the scheduler stack's bounds for the switches back.
-  EUNO_ASAN_FINISH_SWITCH(f.fake_stack, &sched_stack_bottom_,
-                          &sched_stack_size_);
+#if defined(EUNO_SIM_ASAN_FIBERS)
+  // First time on this fiber's stack: complete the switch that entered it.
+  // The run loops enter their first fiber from the scheduler, which is how
+  // the scheduler context learns its stack bounds for the switches back.
+  const void* from_stack = nullptr;
+  std::size_t from_bytes = 0;
+  EUNO_ASAN_FINISH_SWITCH(f.ctx.fake_stack, &from_stack, &from_bytes);
+  if (sched_ctx_.stack == nullptr) {
+    sched_ctx_.stack = from_stack;
+    sched_ctx_.stack_bytes = from_bytes;
+  }
+#endif
   try {
     f.body(f.core);
   } catch (const TxAbortException&) {
@@ -163,32 +281,36 @@ void Simulation::fiber_main(int index) {
   }
   EUNO_ASSERT_MSG(!htm_->in_tx(f.core), "fiber finished with an open transaction");
   f.done = true;
-#if defined(EUNO_SIM_FAST_SWITCH)
-  // Hand control back to the scheduler's _setjmp in resume(); the uc_link
-  // below is only the ucontext fallback's exit path.
-  ::_longjmp(sched_jb_, 1);
-#endif
-  // uc_link returns to main_uctx_ when fiber_main returns. A null save slot
-  // tells ASan this fiber's fake stack dies with it.
-  EUNO_ASAN_START_SWITCH(nullptr, sched_stack_bottom_, sched_stack_size_);
+  switch_context(f.ctx, sched_ctx_, /*from_finished=*/true);
+  std::abort();  // nothing resumes a finished fiber
 }
 
-void Simulation::resume(Fiber& f) {
+void Simulation::switch_context(Context& from, Context& to,
+                                [[maybe_unused]] bool from_finished) {
+  ++switches_;
 #if defined(EUNO_SIM_FAST_SWITCH)
-  if (_setjmp(sched_jb_) == 0) {
-    if (!f.started) {
-      f.started = true;
-      setcontext(&f.uctx);  // first entry onto the fiber's own stack
-      EUNO_ASSERT_MSG(false, "setcontext returned");
-    }
-    ::_longjmp(f.jb, 1);
-  }
+  euno_sim_swap(&from.sp, to.sp);
 #else
-  f.started = true;
-  EUNO_ASAN_START_SWITCH(&sched_fake_stack_, f.stack, f.stack_bytes);
-  swapcontext(&main_uctx_, &f.uctx);
-  EUNO_ASAN_FINISH_SWITCH(sched_fake_stack_, nullptr, nullptr);
+  // A null save slot tells ASan a finished fiber's fake stack dies with it.
+  EUNO_ASAN_START_SWITCH(from_finished ? nullptr : &from.fake_stack, to.stack,
+                         to.stack_bytes);
+  swapcontext(&from.uctx, &to.uctx);
+  EUNO_ASAN_FINISH_SWITCH(from.fake_stack, nullptr, nullptr);
 #endif
+}
+
+void Simulation::begin_slice(Fiber& f) {
+  current_ = &f;
+  if (trace_on_) [[unlikely]] {
+    active_ring_ = &trace_buf_[static_cast<std::size_t>(f.core)];
+    record_trace(static_cast<std::uint8_t>(obs::EventCode::kRunBegin), 0, 0);
+  }
+}
+
+void Simulation::end_slice() {
+  record_trace(static_cast<std::uint8_t>(obs::EventCode::kRunEnd), 0, 0);
+  current_ = nullptr;
+  active_ring_ = nullptr;
 }
 
 void Simulation::run() {
@@ -207,46 +329,41 @@ void Simulation::run() {
   running_ = false;
 }
 
+// The scheduler stack only starts the run and reaps finished fibers: every
+// yield in between is a direct handoff (yield()), so the fiber that returns
+// here is whichever one finished, not necessarily the one dispatched.
 void Simulation::run_deterministic_loop() {
-  runnable_.clear();
-  runnable_.reserve(fibers_.size());
-  for (std::size_t i = 0; i < fibers_.size(); ++i) {
-    if (!fibers_[i]->done) {
-      runnable_.push_back(
-          RunnableEntry{fibers_[i]->clock, static_cast<std::uint32_t>(i)});
-    }
+  // Leaves: the runnable fibers in spawn order, padded to a power of two
+  // with empty slots; `w` holds each node's match winner during the build.
+  std::size_t m = 1;
+  while (m < fibers_.size()) m *= 2;
+  std::vector<std::uint64_t> w(2 * m, kNoKey);
+  std::uint32_t slot = 0;
+  for (const auto& f : fibers_) {
+    if (f->done) continue;
+    slot_of_[f->index] = slot;
+    w[m + slot++] = run_key(f->clock, f->index);
   }
-  std::make_heap(runnable_.begin(), runnable_.end(), std::greater<>{});
+  tourney_.assign(m, kNoKey);
+  for (std::size_t p = m - 1; p > 0; --p) {
+    w[p] = std::min(w[2 * p], w[2 * p + 1]);
+    tourney_[p] = std::max(w[2 * p], w[2 * p + 1]);
+  }
+  tourney_[0] = w[1];
 
-  while (!runnable_.empty()) {
-    std::pop_heap(runnable_.begin(), runnable_.end(), std::greater<>{});
-    const std::uint32_t index = runnable_.back().index;
-    runnable_.pop_back();
-    Fiber& f = *fibers_[index];
-    // The resumed fiber may run ahead until it passes the next-smallest
-    // runnable clock (the new heap top, now that `f` is out of the heap).
-    yield_threshold_ = runnable_.empty() ? ~0ull : runnable_.front().clock;
-    current_ = &f;
-    obs::EventRing* ring =
-        trace_on_ ? &trace_buf_[static_cast<std::size_t>(f.core)] : nullptr;
-    active_ring_ = ring;
-    if (ring != nullptr) [[unlikely]] {
-      ring->append(f.clock,
-                   static_cast<std::uint8_t>(obs::EventCode::kRunBegin), 0, 0);
-    }
-    resume(f);
-    current_ = nullptr;
-    active_ring_ = nullptr;
-    if (ring != nullptr) [[unlikely]] {
-      ring->append(f.clock, static_cast<std::uint8_t>(obs::EventCode::kRunEnd),
-                   0, 0);
-      ring->flush();
-    }
-    if (!f.done) {
-      runnable_.push_back(RunnableEntry{f.clock, index});
-      std::push_heap(runnable_.begin(), runnable_.end(), std::greater<>{});
-    }
+  handoff_ = true;
+  while (tourney_[0] != kNoKey) {
+    Fiber& f = *fibers_[tourney_[0] & kIndexMask];
+    tourney_replay(tourney_.data(), m, slot_of_[f.index], kNoKey);
+    // The fiber may run ahead until it passes the next-smallest runnable
+    // clock (the new winner, now that `f` left the tree).
+    yield_threshold_ =
+        tourney_[0] == kNoKey ? ~0ull : tourney_[0] >> kIndexBits;
+    begin_slice(f);
+    switch_context(sched_ctx_, f.ctx);
+    end_slice();  // the finished fiber's slice
   }
+  handoff_ = false;
 }
 
 // Generic decision loop for the exploration policies: the running fiber
@@ -275,22 +392,9 @@ void Simulation::run_scheduled_loop() {
     runnable.erase(runnable.begin() + static_cast<std::ptrdiff_t>(pos));
     Fiber& f = *fibers_[index];
     yield_threshold_ = 0;  // any charge returns control: access granularity
-    current_ = &f;
-    obs::EventRing* ring =
-        trace_on_ ? &trace_buf_[static_cast<std::size_t>(f.core)] : nullptr;
-    active_ring_ = ring;
-    if (ring != nullptr) [[unlikely]] {
-      ring->append(f.clock,
-                   static_cast<std::uint8_t>(obs::EventCode::kRunBegin), 0, 0);
-    }
-    resume(f);
-    current_ = nullptr;
-    active_ring_ = nullptr;
-    if (ring != nullptr) [[unlikely]] {
-      ring->append(f.clock, static_cast<std::uint8_t>(obs::EventCode::kRunEnd),
-                   0, 0);
-      ring->flush();
-    }
+    begin_slice(f);
+    switch_context(sched_ctx_, f.ctx);
+    end_slice();
     last = index;
     if (!f.done) {
       runnable.insert(std::lower_bound(runnable.begin(), runnable.end(), index),
@@ -400,21 +504,29 @@ void Simulation::sched_tx_begin_slow(int core) {
   }
   if (sched_.policy.preempt_on_tx_begin) {
     sched_.force_switch = true;
-    yield_to_scheduler();
+    yield();
   }
 }
 
-void Simulation::yield_to_scheduler() {
-  Fiber* f = current_;
-  EUNO_ASSERT(f != nullptr);
-#if defined(EUNO_SIM_FAST_SWITCH)
-  if (_setjmp(f->jb) == 0) ::_longjmp(sched_jb_, 1);
-#else
-  EUNO_ASAN_START_SWITCH(&f->fake_stack, sched_stack_bottom_,
-                         sched_stack_size_);
-  swapcontext(&f->uctx, &main_uctx_);
-  EUNO_ASAN_FINISH_SWITCH(f->fake_stack, nullptr, nullptr);
-#endif
+void Simulation::yield() {
+  Fiber& f = *current_;
+  if (!handoff_) {
+    // Exploration policies decide every switch on the scheduler stack.
+    switch_context(f.ctx, sched_ctx_);
+    return;
+  }
+  // f.clock > yield_threshold_ == the winner's clock, so the winner is the
+  // minimum over every runnable fiber including f: hand off to it directly.
+  // f takes over the winner's leaf slot; the replayed winner bounds `next`.
+  Fiber& next = *fibers_[tourney_[0] & kIndexMask];
+  const std::uint32_t slot = slot_of_[next.index];
+  slot_of_[f.index] = slot;
+  tourney_replay(tourney_.data(), tourney_.size(), slot,
+                 run_key(f.clock, f.index));
+  yield_threshold_ = tourney_[0] >> kIndexBits;
+  end_slice();
+  begin_slice(next);
+  switch_context(f.ctx, next.ctx);
 }
 
 void Simulation::spin_wait() {

@@ -1,10 +1,10 @@
 // The simulated-multicore execution engine.
 //
-// Each simulated core runs one fiber (ucontext stack; see "Context switching"
-// below). A discrete-event scheduler always resumes the fiber with the
-// smallest simulated clock; a fiber keeps running until its clock passes the
-// next-smallest runnable clock, at which point it yields back. This realizes
-// a globally consistent interleaving at instrumented-access granularity,
+// Each simulated core runs one fiber (its own mmap'd stack; see "Context
+// switching" below). The fiber with the smallest simulated clock runs; it
+// keeps running until its clock passes the next-smallest runnable clock, at
+// which point control moves to that fiber. This realizes a globally
+// consistent interleaving at instrumented-access granularity,
 // deterministically, on a single OS thread.
 //
 // Simulated time advances only through charge(): every instrumented memory
@@ -12,19 +12,31 @@
 // fiber's clock by the cost model's cycles. Throughput for an experiment is
 // completed-ops / max core clock.
 //
-// Context switching: fiber stacks are created with makecontext and entered
-// the first time with setcontext, but every subsequent suspend/resume uses
-// _setjmp/_longjmp, which on Linux never touches the signal mask — unlike
-// swapcontext, whose two rt_sigprocmask syscalls per switch dominated the
-// simulator's host-side cost at high contention (fibers leapfrog roughly
-// every access there). Under ThreadSanitizer the engine falls back to pure
-// swapcontext, which TSan intercepts and understands.
+// Context switching: one primitive, switch_context(), moves between any two
+// contexts (fiber or scheduler). On x86-64 it is a 21-instruction assembly
+// routine (engine.cpp) that pushes the callee-saved registers, MXCSR and the
+// x87 control word, swaps stack pointers and pops the other side's frame —
+// no syscall, no signal mask, no jmp_buf. spawn() writes each fiber's
+// initial frame, so a first entry is an ordinary switch that "returns" into
+// an entry stub. ASan, TSan and other architectures switch with
+// swapcontext instead (ASan annotates every switch with
+// __sanitizer_start/finish_switch_fiber); the scheduling above the
+// primitive is the same on both paths.
 //
-// Scheduling structures: runnable fibers sit in a binary min-heap ordered by
-// (clock, spawn index); the running fiber is kept out of the heap, so a
-// resume is pop-min + peek (the peek is the yield threshold) instead of two
-// O(#fibers) scans. Ties break toward the lower spawn index, matching the
-// linear-scan scheduler this replaced bit for bit.
+// Scheduling structures: under the deterministic policy a fiber that crosses
+// the yield threshold hands off *directly* to its successor; run()'s own
+// stack is re-entered only when a fiber finishes. The runnable fibers (all
+// but the running one) are the leaves of a loser tree (tournament tree)
+// keyed by `clock << 5 | spawn index` (kMaxCores = 32 fits in 5 bits), so
+// the (clock, spawn index) order is one integer compare and the root is the
+// minimum. The yielder's clock is strictly above its threshold, the root's
+// clock, so its successor is always the root: a handoff puts the yielder
+// into the root's leaf slot and replays that slot's log2(#fibers) matches
+// with branch-free selects, and the new root's clock is the successor's
+// threshold. Ties break toward the lower spawn index, as in every scheduler
+// this engine has had, so interleavings are bit-identical to them. The
+// exploration policies (run_scheduled_loop) still return to the scheduler
+// stack at every decision.
 //
 // INVARIANT (exception safety across fibers): all fibers share one OS thread
 // and therefore one __cxa_eh_globals. Code running inside a fiber must never
@@ -33,10 +45,10 @@
 // is still alive — interleaved catch lifetimes across fibers corrupt the
 // shared caught-exception stack. Catch TxAbortException, copy its 3-byte
 // result, leave the handler, then do any charged work. (The same invariant
-// covers _longjmp: no jump ever crosses a live exception.)
+// keeps every stack switch clear of a live exception.)
 #pragma once
 
-#include <csetjmp>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -54,10 +66,10 @@
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
-// Sanitizers cannot follow the raw _setjmp/_longjmp stack switches: TSan
-// loses the happens-before graph, and ASan's longjmp interceptor tries to
-// unpoison "the" stack across two unrelated ones. Under either sanitizer we
-// fall back to ucontext switching (and, for ASan, annotate every switch with
+// Sanitizers cannot follow a hand-rolled stack switch: TSan loses the
+// happens-before graph and ASan's shadow stack bookkeeping follows the OS
+// thread. Under either sanitizer (and off x86-64) we switch with ucontext
+// (and, for ASan, annotate every switch with
 // __sanitizer_start/finish_switch_fiber — see engine.cpp).
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define EUNO_SIM_UCONTEXT_ONLY 1
@@ -66,7 +78,7 @@
 #define EUNO_SIM_UCONTEXT_ONLY 1
 #endif
 #endif
-#if !defined(EUNO_SIM_UCONTEXT_ONLY) && defined(__linux__)
+#if !defined(EUNO_SIM_UCONTEXT_ONLY) && defined(__linux__) && defined(__x86_64__)
 #define EUNO_SIM_FAST_SWITCH 1
 #endif
 
@@ -105,12 +117,12 @@ class Simulation {
 
   /// Advance the current fiber's clock; may transfer control to another
   /// fiber (and return later). Header-inline: the common case is "add and
-  /// keep running"; only crossing the yield threshold enters the scheduler.
+  /// keep running"; only crossing the yield threshold switches fibers.
   void charge(std::uint64_t cycles) {
     Fiber* f = current_;
     if (f == nullptr) return;  // setup/teardown outside the simulation is free
     f->clock += cycles;
-    if (f->clock > yield_threshold_) [[unlikely]] yield_to_scheduler();
+    if (f->clock > yield_threshold_) [[unlikely]] yield();
   }
 
   /// Full memory-access protocol: doom check, HTM conflict handling &
@@ -147,7 +159,7 @@ class Simulation {
     c.mem_accesses += 1;
     f->clock += cfg_.costs.instr +
                 peek_cost(line, core, is_write, cfg_, f->clock) + extra_cycles;
-    if (f->clock > yield_threshold_) [[unlikely]] yield_to_scheduler();
+    if (f->clock > yield_threshold_) [[unlikely]] yield();
 
     // Post-yield: raise any abort delivered while suspended, then run the
     // conflict protocol and coherence transition. The caller's raw access
@@ -175,6 +187,11 @@ class Simulation {
   std::uint64_t max_clock() const;
   CoreCounters& counters(int core) { return counters_[core]; }
 
+  /// Stack switches performed so far (scheduler -> fiber, fiber -> fiber
+  /// and fiber -> scheduler). Host-independent: a function of the simulated
+  /// interleaving only.
+  std::uint64_t switch_count() const { return switches_; }
+
   SharedArena& arena() { return *arena_; }
   SimHTM& htm() { return *htm_; }
   const MachineConfig& config() const { return cfg_; }
@@ -191,14 +208,14 @@ class Simulation {
   bool trace_enabled() const { return trace_on_; }
   void record_trace(std::uint8_t code, std::uint8_t a, std::uint8_t b) {
     // active_ring_ is non-null exactly while a fiber runs with tracing on
-    // (the run loops cache &trace_buf_[core] around each resume), so the
+    // (begin_slice caches &trace_buf_[core] for each run slice), so the
     // disabled-tracing hot path is a single pointer test.
     if (active_ring_ != nullptr) [[unlikely]] {
       active_ring_->append(current_->clock, code, a, b);
     }
   }
   /// Flush the running core's event ring (SimCtx calls this at transaction
-  /// boundaries; the run loops flush at every scheduler switch).
+  /// boundaries).
   void flush_trace() {
     if (active_ring_ != nullptr) [[unlikely]] active_ring_->flush();
   }
@@ -223,7 +240,7 @@ class Simulation {
   // ---- schedule exploration (src/sim/schedule.hpp, src/check) ----
 
   /// Install a schedule policy. Must be called before run(). The default
-  /// policy keeps the optimized deterministic heap scheduler; anything else
+  /// policy keeps the direct-handoff deterministic scheduler; anything else
   /// routes run() through the generic decision loop.
   void set_schedule_policy(SchedulePolicy p);
   const SchedulePolicy& schedule_policy() const { return sched_.policy; }
@@ -250,34 +267,43 @@ class Simulation {
     if (sched_.hooks_armed) [[unlikely]] sched_tx_begin_slow(core);
   }
 
-  /// Internal: fiber trampoline target.
-  void fiber_main(int index);
+  /// Internal: fiber entry point (first code run on a fiber's stack).
+  [[noreturn]] void fiber_main(int index);
 
  private:
-  struct Fiber {
+  /// A suspendable execution: a fiber, or the scheduler (run()'s stack).
+  struct Context {
+#if defined(EUNO_SIM_FAST_SWITCH)
+    void* sp = nullptr;  // saved stack pointer while suspended
+#else
     ucontext_t uctx{};
-    std::jmp_buf jb{};  // valid while started && suspended (fast-switch path)
-    void* stack = nullptr;
-    std::size_t stack_bytes = 0;
-    std::function<void(int)> body;
     void* fake_stack = nullptr;  // ASan fake-stack handle while suspended
+#endif
+    // Lowest usable stack address and size: a fiber's pooled stack, or for
+    // the scheduler the bounds ASan reports at the first fiber entry.
+    const void* stack = nullptr;
+    std::size_t stack_bytes = 0;
+  };
+
+  struct Fiber {
+    Context ctx;
+    std::function<void(int)> body;
+    std::uint32_t index = 0;  // spawn index
     int core = -1;
     std::uint64_t clock = 0;
-    bool started = false;
     bool done = false;
   };
 
-  /// Min-heap entry: runnable fiber `index` at simulated time `clock`.
-  struct RunnableEntry {
-    std::uint64_t clock;
-    std::uint32_t index;
-    bool operator>(const RunnableEntry& o) const {
-      return clock != o.clock ? clock > o.clock : index > o.index;
-    }
-  };
-
-  void yield_to_scheduler();
-  void resume(Fiber& f);
+  /// Suspend the running context into `from` and resume `to`. Every stack
+  /// switch the engine makes goes through here. `from_finished` marks the
+  /// final switch out of a fiber (ASan then releases its fake stack).
+  void switch_context(Context& from, Context& to, bool from_finished = false);
+  /// Slow path of charge(): the running fiber crossed its yield threshold.
+  void yield();
+  /// Make `f` the running fiber and open its trace run slice.
+  void begin_slice(Fiber& f);
+  /// Close the running fiber's trace run slice; nothing runs afterwards.
+  void end_slice();
   void run_deterministic_loop();
   void run_scheduled_loop();
   /// Pick the next fiber among `runnable` (sorted by fiber index) under the
@@ -294,18 +320,16 @@ class Simulation {
   std::unique_ptr<SimHTM> htm_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<CoreCounters> counters_;
-  std::vector<RunnableEntry> runnable_;  // min-heap; excludes current_
-  ucontext_t main_uctx_{};
-  std::jmp_buf sched_jb_{};  // re-armed before every resume (fast-switch path)
-  // ASan fiber bookkeeping: the scheduler stack's fake-stack handle while a
-  // fiber runs, and its bounds (learned at the first fiber entry) so fibers
-  // can annotate the switch back. Unused outside ASan builds.
-  void* sched_fake_stack_ = nullptr;
-  const void* sched_stack_bottom_ = nullptr;
-  std::size_t sched_stack_size_ = 0;
+  // Deterministic policy: loser tree over packed (clock, spawn index) keys
+  // of the runnable fibers, excluding current_ (see "Scheduling
+  // structures"), and each runnable fiber's leaf slot in it.
+  std::vector<std::uint64_t> tourney_;
+  std::array<std::uint32_t, MachineConfig::kMaxCores> slot_of_{};
+  Context sched_ctx_;  // run()'s own stack while a fiber runs
   Fiber* current_ = nullptr;
   std::uint64_t yield_threshold_ = ~0ull;
   bool running_ = false;
+  bool handoff_ = false;  // yields hand off fiber-to-fiber (deterministic loop)
   bool trace_on_ = false;
   std::vector<obs::EventRing> trace_buf_;  // per core; see enable_trace
   obs::EventRing* active_ring_ = nullptr;  // == &trace_buf_[current core] or null
@@ -314,6 +338,7 @@ class Simulation {
   std::vector<Fiber*> core_fiber_;
   obs::NodeRegistry* node_registry_ = nullptr;
   std::uint64_t step_ = 0;  // instrumented accesses; see global_step()
+  std::uint64_t switches_ = 0;  // see switch_count()
 
   /// Schedule-exploration state (cold: touched only by non-default policies
   /// and the sched_tx_begin slow path).

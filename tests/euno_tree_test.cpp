@@ -86,7 +86,9 @@ void run_config_sim_stress(EunoConfig cfg) {
   ctx::SimCtx verify(simulation, 0);
   for (Key k = 0; k < 128; ++k) {
     Value v = 0;
-    if (tree.get(verify, k, &v)) EXPECT_EQ(v, k * 3 + 1);
+    if (tree.get(verify, k, &v)) {
+      EXPECT_EQ(v, k * 3 + 1);
+    }
   }
   tree.destroy(verify);
 }
@@ -189,7 +191,9 @@ TEST(EunoTree, RebalanceMergesSparseLeaves) {
   EunoBPTree<ctx::NativeCtx> tree(c, EunoConfig::full());
   for (Key k = 0; k < 3000; ++k) tree.put(c, k, k);
   for (Key k = 0; k < 3000; ++k) {
-    if (k % 8 != 0) EXPECT_TRUE(tree.erase(c, k));
+    if (k % 8 != 0) {
+      EXPECT_TRUE(tree.erase(c, k));
+    }
   }
   tree.check_invariants();
   const std::size_t merges = tree.rebalance(c);

@@ -33,7 +33,9 @@ void run_hostile_sim(sim::MachineConfig cfg, MakeTree make, int threads,
           tree.put(c, key, key + 1);
         } else {
           Value v;
-          if (tree.get(c, key, &v)) ASSERT_EQ(v, key + 1);
+          if (tree.get(c, key, &v)) {
+            ASSERT_EQ(v, key + 1);
+          }
         }
       }
     });

@@ -32,7 +32,9 @@ void oracle_pass(Tree& tree, ctx::NativeCtx& c, std::uint64_t seed) {
         Value v = 0;
         const bool f = tree.get(c, key, &v);
         ASSERT_EQ(f, oracle.count(key) == 1);
-        if (f) ASSERT_EQ(v, oracle[key]);
+        if (f) {
+          ASSERT_EQ(v, oracle[key]);
+        }
         break;
       }
       case 3:
@@ -59,7 +61,9 @@ void sim_pass(Make make) {
           tree.put(c, k, k * 13 + 1);
         } else {
           Value v;
-          if (tree.get(c, k, &v)) ASSERT_EQ(v, k * 13 + 1);
+          if (tree.get(c, k, &v)) {
+            ASSERT_EQ(v, k * 13 + 1);
+          }
         }
       }
     });

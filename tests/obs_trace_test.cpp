@@ -211,7 +211,9 @@ TEST(TraceExport, SimulatedRunProducesWellNestedSpans) {
     for (const auto& s : tl.spans) {
       ASSERT_LE(s.begin, s.end);
       while (!stack.empty() && s.begin >= stack.back()) stack.pop_back();
-      if (!stack.empty()) ASSERT_LE(s.end, stack.back());
+      if (!stack.empty()) {
+        ASSERT_LE(s.end, stack.back());
+      }
       stack.push_back(s.end);
     }
     // Run slices tile the core's active time: non-overlapping, ordered.

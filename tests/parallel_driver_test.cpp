@@ -62,6 +62,7 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b,
   EXPECT_EQ(a.lower_aborts, b.lower_aborts);
   EXPECT_EQ(a.mono_aborts, b.mono_aborts);
   EXPECT_EQ(a.mem_accesses, b.mem_accesses);
+  EXPECT_EQ(a.fiber_switches, b.fiber_switches);
   EXPECT_EQ(a.instructions_per_op, b.instructions_per_op);
   EXPECT_EQ(a.wasted_cycle_frac, b.wasted_cycle_frac);
   EXPECT_EQ(a.mem_total, b.mem_total);

@@ -247,8 +247,12 @@ TEST(SimdPrefixSearch, SlicePackingIsMonotone) {
       const int full = bytes_compare(a.data(), a.size(), b.data(), b.size());
       const std::uint64_t sa = bytes_prefix(a.data(), a.size());
       const std::uint64_t sb = bytes_prefix(b.data(), b.size());
-      if (full <= 0) EXPECT_LE(sa, sb) << "'" << a << "' vs '" << b << "'";
-      if (sa < sb) EXPECT_LT(full, 0) << "'" << a << "' vs '" << b << "'";
+      if (full <= 0) {
+        EXPECT_LE(sa, sb) << "'" << a << "' vs '" << b << "'";
+      }
+      if (sa < sb) {
+        EXPECT_LT(full, 0) << "'" << a << "' vs '" << b << "'";
+      }
     }
   }
 }

@@ -123,7 +123,9 @@ void run_str_oracle(trees::AnyStrTree<Ctx>& tree, Ctx& c, std::uint64_t seed,
         const bool found = tree.get(c, kv, &v);
         const auto it = oracle.find(key);
         ASSERT_EQ(found, it != oracle.end()) << "get " << key;
-        if (found) ASSERT_EQ(v, it->second.first) << "get value " << key;
+        if (found) {
+          ASSERT_EQ(v, it->second.first) << "get value " << key;
+        }
         break;
       }
       default: {  // put / overwrite, payload length varies 0..~90

@@ -133,7 +133,9 @@ void run_scan_boundary_workload(Tree& tree, Ctx& c) {
       ASSERT_NE(it, oracle.end()) << "start=" << start << " pos=" << j;
       ASSERT_EQ(buf[j].first, it->first) << "start=" << start << " pos=" << j;
       ASSERT_EQ(buf[j].second, it->second) << "start=" << start;
-      if (j > 0) ASSERT_GT(buf[j].first, buf[j - 1].first) << "unsorted scan";
+      if (j > 0) {
+        ASSERT_GT(buf[j].first, buf[j - 1].first) << "unsorted scan";
+      }
     }
     if (n < limit) {
       ASSERT_EQ(it, oracle.end()) << "short scan must mean end, start=" << start;

@@ -122,7 +122,9 @@ TEST_P(TreeProperty, OracleAgreesWithStdMap) {
         const bool f = tree.get(c, key, &v);
         const auto it = oracle.find(key);
         ASSERT_EQ(f, it != oracle.end()) << "op " << i;
-        if (f) ASSERT_EQ(v, it->second);
+        if (f) {
+          ASSERT_EQ(v, it->second);
+        }
         break;
       }
       case 5:
