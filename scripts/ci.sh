@@ -26,7 +26,9 @@
 # epoch-reclaiming rcu-bptree and announce-word three-path policies — both
 # built on cross-thread handshakes TSan can audit directly.
 # The asan job rebuilds with -DEUNO_ASAN=ON and runs the `fault` label (the
-# HTM fault-injection campaigns, the hardened retry/fallback paths, and the
+# HTM fault-injection campaigns, the hardened retry/fallback paths — including
+# retry_loop_test, the shared retry loop driven through a scripted RTM
+# backend, so the native RTM branch runs under both ASan and UBSan — and the
 # RCU reclamation battery whose native soak makes a premature free a real
 # heap use-after-free — exactly what ASan exists to catch) plus the `store`
 # label, whose native multi-threaded soak drives per-shard epoch domains

@@ -2,28 +2,24 @@
 //
 // read/write compile to relaxed atomic loads/stores (plain movs on x86-64 —
 // zero overhead, but well-defined under the optimistic races the trees rely
-// on). txn() elides the per-tree fallback lock with real hardware
-// transactions, with the DBX-style per-abort-type retry thresholds; when RTM
-// is unavailable (or exhausted) it serializes on the lock, so the same
-// binary runs correctly on machines without TSX.
+// on). txn() is the shared retry loop (retry_loop.hpp): NativeCtx supplies
+// real hardware transactions that elide the per-tree fallback lock; when RTM
+// is unavailable (or the budget is exhausted) the loop serializes on the
+// lock, so the same binary runs correctly on machines without TSX.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 
 #include "ctx/common.hpp"
+#include "ctx/retry_loop.hpp"
 #include "obs/ring.hpp"
-#include "obs/timeseries.hpp"
-#include "htm/policy.hpp"
 #include "htm/rtm.hpp"
 #include "sim/line.hpp"
 #include "util/assert.hpp"
 #include "util/cacheline.hpp"
 #include "util/memstats.hpp"
-#include "util/rng.hpp"
 #include "util/spinlock.hpp"
 #include "util/tsc.hpp"
 
@@ -41,7 +37,7 @@ class NativeEnv {
   int max_threads_;
 };
 
-class NativeCtx {
+class NativeCtx : public RetryLoop<NativeCtx> {
  public:
   /// Reads and writes hit raw process memory (no instrumentation layer), so
   /// node search may use vectorized kernels that load several slots per
@@ -50,210 +46,11 @@ class NativeCtx {
   /// golden manifests, and must stay scalar.
   static constexpr bool kRawMemory = true;
 
-  NativeCtx(NativeEnv& env, int tid) : env_(&env), tid_(tid) {
+  NativeCtx(NativeEnv& env, int tid) : RetryLoop(tid), tid_(tid) {
     EUNO_ASSERT(tid >= 0 && tid < env.max_threads());
   }
 
   int tid() const { return tid_; }
-  SiteStats& stats() { return stats_; }
-  const SiteStats& stats() const { return stats_; }
-
-  // ---- transactions ----
-
-  /// Execute `body` atomically: hardware transaction with subscribed
-  /// fallback lock, retrying per `policy`, serializing on `lock` when the
-  /// budget is exhausted (or RTM is unavailable). Mirrors SimCtx::txn's
-  /// hardened path with two native differences (DESIGN.md §10): wait/backoff
-  /// accounting is in spin-loop iterations rather than simulated cycles, and
-  /// there is no unsubscribed lock-timeout rescue — subscribed RTM must wait
-  /// for the release (timed-out episodes are still counted).
-  template <class Body>
-  TxnOutcome txn(TxSite site, FallbackLock& lock, const htm::RetryPolicy& policy,
-                 Body&& body) {
-    return txn_impl<true>(site, lock, policy, body);
-  }
-
-  /// HTM-only variant: identical retry structure, but budget exhaustion (or
-  /// missing RTM support) returns (committed=false) instead of serializing on
-  /// the fallback lock. Multi-path policies (sync/three_path.hpp) use this to
-  /// chain paths.
-  template <class Body>
-  TxnOutcome try_txn(TxSite site, FallbackLock& lock,
-                     const htm::RetryPolicy& policy, Body&& body) {
-    return txn_impl<false>(site, lock, policy, body);
-  }
-
- private:
-  template <bool kAllowFallback, class Body>
-  TxnOutcome txn_impl(TxSite site, FallbackLock& lock,
-                      const htm::RetryPolicy& policy, Body&& body) {
-    TxnOutcome out;
-    auto& st = stats_.at(site);
-    // Deadline propagation (DESIGN.md §15): disarmed (the default) costs one
-    // predictable branch; armed, a doomed op aborts before doing more work.
-    // Checks stay live only through the op's first transactional region
-    // (see set_deadline); this guard retires them however the region exits.
-    struct DeadlineFreshReset {
-      NativeCtx* c;
-      ~DeadlineFreshReset() { c->deadline_fresh_ = false; }
-    } deadline_reset{this};
-    if (deadline_fresh_) deadline_check(st);
-    if constexpr (kAllowFallback) {
-      // Permanent HTM-health degradation: straight to the lock.
-      if (policy.health_window != 0 &&
-          lock.degraded.load(std::memory_order_relaxed) != 0) {
-        run_fallback(lock, st, out, body);
-        return out;
-      }
-      // Fairness escape hatch.
-      if (policy.starvation_threshold != 0 &&
-          starved_ops_ >= policy.starvation_threshold) {
-        st.starvation_escapes++;
-        starved_ops_ = 0;
-        note(TraceCode::kStarvationEscape, static_cast<std::uint8_t>(site));
-        run_fallback(lock, st, out, body);
-        health_note(lock, policy, st, 1, 0);
-        return out;
-      }
-    }
-    // Attempts are timestamped only when something consumes the timestamps
-    // (a trace ring or a ThreadObs): un-observed runs keep the pre-obs path.
-    const bool timed = ring_ != nullptr || obs_ != nullptr;
-    if (htm::rtm_supported()) {
-      int conflict_budget = policy.conflict_retries;
-      int capacity_budget = policy.capacity_retries;
-      int other_budget = policy.other_retries;
-      std::uint32_t streak[static_cast<std::size_t>(htm::AbortReason::kCount)] = {};
-      for (;;) {
-        // Never start while the fallback lock is held: we would abort
-        // immediately on subscription. Anti-lemming waiters poll with
-        // exponentially spaced jittered pauses instead of camping on the
-        // line, then re-arm the budget after the release.
-        {
-          bool waited = false;
-          std::uint32_t polls = 0;
-          std::uint32_t poll_delay = policy.backoff_base;
-          while (lock.word.load(std::memory_order_acquire) != 0) {
-            waited = true;
-            if (deadline_fresh_) deadline_check(st);
-            if (++polls >= policy.lock_wait_spin_cap) {
-              polls = 0;
-              st.lock_wait_timeouts++;
-              note(TraceCode::kLockWaitTimeout, static_cast<std::uint8_t>(site));
-            }
-            if (policy.anti_lemming) {
-              const std::uint32_t d = jitter(poll_delay);
-              relax_n(d);
-              st.lock_wait_cycles += d;
-              poll_delay = std::min(poll_delay * 2, policy.backoff_cap);
-            } else {
-              cpu_relax();
-              st.lock_wait_cycles++;
-            }
-          }
-          if (waited && policy.anti_lemming) {
-            const std::uint32_t g =
-                policy.rearm_grace != 0
-                    ? static_cast<std::uint32_t>(
-                          jitter_rng_.next_bounded(policy.rearm_grace + 1))
-                    : 0;
-            if (g != 0) {
-              relax_n(g);
-              st.backoff_cycles += g;
-            }
-            conflict_budget = policy.conflict_retries;
-            capacity_budget = policy.capacity_retries;
-            other_budget = policy.other_retries;
-            for (auto& s : streak) s = 0;
-          }
-        }
-        st.attempts++;
-        // Timestamp (and record) the attempt *before* rtm_begin: a ring
-        // append inside the transaction would enlarge the write set and be
-        // rolled back on abort.
-        std::uint64_t attempt_ts = 0;
-        if (timed) {
-          attempt_ts = now();
-          if (ring_ != nullptr) {
-            ring_->append(attempt_ts - trace_origin_,
-                          static_cast<std::uint8_t>(TraceCode::kTxBegin),
-                          static_cast<std::uint8_t>(site), 0);
-          }
-        }
-        const unsigned status = htm::rtm_begin();
-        if (status == htm::rtm_status::kStarted) {
-          // Subscribe the fallback lock: brings its line into our read set,
-          // so a fallback acquirer aborts us.
-          if (lock.word.load(std::memory_order_relaxed) != 0) {
-            htm::rtm_abort_fallback_locked();
-          }
-          in_tx_ = true;
-          body();
-          in_tx_ = false;
-          htm::rtm_end();
-          st.commits++;
-          note(TraceCode::kTxCommit, static_cast<std::uint8_t>(site));
-          if (policy.starvation_threshold != 0) starved_ops_ = 0;
-          health_note(lock, policy, st, out.aborts + 1, 1);
-          out.committed = true;
-          return out;
-        }
-        in_tx_ = false;
-        const htm::TxResult r = htm::rtm_decode(status);
-        st.note_abort(r);
-        out.aborts++;
-        if (timed) {
-          const std::uint64_t abort_ts = now();
-          if (obs_ != nullptr) {
-            obs_->abort_wasted.record(abort_ts - attempt_ts);
-            obs_->series.note_abort(abort_ts);
-          }
-          if (ring_ != nullptr) {
-            ring_->append(abort_ts - trace_origin_,
-                          static_cast<std::uint8_t>(TraceCode::kAbort),
-                          static_cast<std::uint8_t>(r.reason),
-                          static_cast<std::uint8_t>(r.conflict));
-          }
-        }
-        if (r.reason == htm::AbortReason::kLockBusy) continue;  // free of charge
-        int* budget = &other_budget;
-        if (r.reason == htm::AbortReason::kConflict) budget = &conflict_budget;
-        if (r.reason == htm::AbortReason::kCapacity) budget = &capacity_budget;
-        if (--*budget < 0) break;
-        // Between attempts: nothing held, no transaction open — the cheapest
-        // place to notice a blown deadline.
-        if (deadline_fresh_) deadline_check(st);
-        // Seeded-jitter exponential backoff per abort reason (capacity
-        // aborts never back off — the footprint does not shrink by waiting).
-        if (policy.backoff && r.reason != htm::AbortReason::kCapacity) {
-          const std::uint32_t n = ++streak[static_cast<std::size_t>(r.reason)];
-          std::uint64_t d = static_cast<std::uint64_t>(policy.backoff_base)
-                            << std::min<std::uint32_t>(n - 1, 16);
-          d = std::min<std::uint64_t>(d, policy.backoff_cap);
-          const std::uint32_t j = jitter(static_cast<std::uint32_t>(d));
-          relax_n(j);
-          st.backoff_cycles += j;
-        }
-      }
-      if constexpr (kAllowFallback) {
-        if (policy.starvation_threshold != 0) starved_ops_++;
-      }
-    } else if constexpr (kAllowFallback) {
-      st.attempts++;
-    }
-    if constexpr (kAllowFallback) {
-      // Last exit before joining the fallback queue: a doomed op sheds here
-      // rather than contending for a lock it can no longer afford.
-      if (deadline_fresh_) deadline_check(st);
-      // Fallback: serialize on the lock.
-      run_fallback(lock, st, out, body);
-      health_note(lock, policy, st, out.aborts + 1, 0);
-    }
-    return out;
-  }
-
- public:
-  bool in_fallback() const { return in_fallback_; }
 
   /// Explicit user abort — only meaningful inside a hardware transaction.
   [[noreturn]] void tx_abort_user() {
@@ -369,33 +166,6 @@ class NativeCtx {
   /// the host lacks an invariant TSC (util/tsc.hpp).
   std::uint64_t now() const { return util::monotonic_ns(); }
 
-  void set_observer(obs::ThreadObs* o) { obs_ = o; }
-  obs::ThreadObs* observer() { return obs_; }
-
-  // ---- deadline propagation (DESIGN.md §15) ----
-
-  /// Arm an absolute deadline (in now() units, i.e. wall-clock ns) for ops
-  /// issued through this context: past it, txn()/try_txn() throw
-  /// DeadlineExceeded from their next safe check point instead of spinning
-  /// on. 0 disarms; disarmed (the default) costs one predictable branch.
-  ///
-  /// The unwind is only legal while the op holds no op-level state the ctx
-  /// cannot release — which trees guarantee only up to their *first*
-  /// transactional region (e.g. euno acquires CCM lock bits between its
-  /// upper and lower regions; abandoning there would wedge the slot). So
-  /// the checks stay live only until the first txn()/try_txn() since
-  /// arming returns; past that the op runs to completion, bounding the
-  /// overrun by one op rather than risking a stuck structure.
-  void set_deadline(std::uint64_t abs) {
-    deadline_ = abs;
-    deadline_fresh_ = abs != 0;
-  }
-  void clear_deadline() {
-    deadline_ = 0;
-    deadline_fresh_ = false;
-  }
-  std::uint64_t deadline() const { return deadline_; }
-
   /// Attach this thread's event ring (obs.trace channel). `origin` — the
   /// run's start in now() units — is subtracted from every timestamp so the
   /// ring's varint clock-deltas stay small and traces start near zero.
@@ -405,109 +175,83 @@ class NativeCtx {
   }
 
  private:
-  /// Ring append for txn-internal events; no-op without a ring. Callers on
-  /// the transactional path must be outside the hardware transaction.
-  void note(TraceCode code, std::uint8_t a = 0, std::uint8_t b = 0) {
-    if (ring_ == nullptr) return;
-    ring_->append(now() - trace_origin_, static_cast<std::uint8_t>(code), a, b);
+  friend class RetryLoop<NativeCtx>;
+
+  // ---- RetryLoop backend (retry_loop.hpp) ----
+
+  /// Subscribed RTM must wait for the release: an unsubscribed attempt
+  /// could commit against a fallback holder's half-done writes.
+  static constexpr bool kCanUnsubscribe = false;
+  static bool htm_available() { return htm::rtm_supported(); }
+  bool lock_held(FallbackLock& lock) const {
+    return lock.word.load(std::memory_order_acquire) != 0;
+  }
+  /// Lock-wait and backoff are accounted in pause instructions: wait() and
+  /// pause() advance this counter by the cpu_relax()es they issue.
+  std::uint64_t wait_clock() const { return relaxed_; }
+  void wait(std::uint32_t n) {
+    for (std::uint32_t i = 0; i < n; ++i) cpu_relax();
+    relaxed_ += n;
+  }
+  void pause() {
+    cpu_relax();
+    ++relaxed_;
   }
 
-  /// Serialize on the fallback lock and run the body under it.
   template <class Body>
-  void run_fallback(FallbackLock& lock, htm::TxStats& st, TxnOutcome& out,
-                    Body& body) {
+  Attempt attempt(TxSite site, FallbackLock& lock, bool /*subscribe*/,
+                  Body& body) {
+    // Wasted time is stamped only when a ThreadObs consumes it: un-observed
+    // runs read no clock. Stamp and trace event come *before* rtm_begin: a
+    // ring append inside the transaction would enlarge the write set and be
+    // rolled back on abort.
+    const bool timed = observer() != nullptr;
+    const std::uint64_t begin_ts = timed ? now() : 0;
+    note_event(TraceCode::kTxBegin, static_cast<std::uint8_t>(site), 0);
+    Attempt a;
+    const unsigned status = htm::rtm_begin();
+    if (status == htm::rtm_status::kStarted) {
+      // Subscribe the fallback lock: brings its line into our read set,
+      // so a fallback acquirer aborts us.
+      if (lock.word.load(std::memory_order_relaxed) != 0) {
+        htm::rtm_abort_fallback_locked();
+      }
+      in_tx_ = true;
+      body();
+      in_tx_ = false;
+      htm::rtm_end();
+      a.committed = true;
+      return a;
+    }
+    in_tx_ = false;
+    a.result = htm::rtm_decode(status);
+    if (timed) {
+      a.abort_at = now();
+      a.wasted = a.abort_at - begin_ts;
+    }
+    return a;
+  }
+
+  void acquire_fallback(FallbackLock& lock) {
     for (;;) {
       std::uint32_t expected = 0;
       if (lock.word.compare_exchange_weak(expected, 1,
                                           std::memory_order_acquire)) {
-        break;
+        return;
       }
       while (lock.word.load(std::memory_order_relaxed) != 0) cpu_relax();
     }
-    st.fallbacks++;
-    if (obs_ != nullptr) obs_->series.note_fallback(now());
-    note(TraceCode::kFallback);
-    note(TraceCode::kFallbackAcquired);
-    in_fallback_ = true;
-    body();
-    in_fallback_ = false;
+  }
+  void after_acquire() {}
+  void release_fallback(FallbackLock& lock) {
     lock.word.store(0, std::memory_order_release);
-    note(TraceCode::kFallbackReleased);
-    st.commits++;
-    out.used_fallback = true;
-    out.committed = true;
   }
 
-  /// Feed the tree-global HTM-health window: `attempts` tx attempts just
-  /// resolved, of which `commits` committed under HTM. When a full window's
-  /// commit rate stays below the threshold, permanently degrade the tree to
-  /// lock-only mode. Plain atomics off the transactional path; windows race
-  /// benignly (a concurrent reset only delays the verdict).
-  void health_note(FallbackLock& lock, const htm::RetryPolicy& policy,
-                   htm::TxStats& st, std::uint64_t attempts,
-                   std::uint64_t commits) {
-    if (policy.health_window == 0) return;
-    if (lock.degraded.load(std::memory_order_relaxed) != 0) return;
-    const std::uint64_t a =
-        lock.health_attempts.fetch_add(attempts, std::memory_order_relaxed) +
-        attempts;
-    const std::uint64_t c =
-        lock.health_commits.fetch_add(commits, std::memory_order_relaxed) +
-        commits;
-    if (a < policy.health_window) return;
-    if (c * 100 < a * policy.health_min_commit_pct) {
-      std::uint32_t expected = 0;
-      if (lock.degraded.compare_exchange_strong(expected, 1,
-                                                std::memory_order_relaxed)) {
-        st.degradations++;
-        note(TraceCode::kHtmDegraded);
-      }
-    } else {
-      lock.health_attempts.store(0, std::memory_order_relaxed);
-      lock.health_commits.store(0, std::memory_order_relaxed);
-    }
-  }
-
-  /// Throws when the armed deadline has passed. Callers sit outside hardware
-  /// transactions and critical sections (common.hpp on DeadlineExceeded).
-  /// Only live while deadline_fresh_: an op that already completed a
-  /// transactional region may hold tree-level state (CCM lock bits, clones)
-  /// that the ctx cannot release.
-  void deadline_check(htm::TxStats& st) {
-    if (deadline_fresh_ && now() >= deadline_) {
-      st.deadline_exceeded++;
-      note(TraceCode::kDeadlineExceeded);
-      throw DeadlineExceeded{};
-    }
-  }
-
-  /// Seeded jitter: uniform in [d/2, d] so backed-off threads desynchronize.
-  std::uint32_t jitter(std::uint32_t d) {
-    if (d <= 1) return d;
-    return d / 2 +
-           static_cast<std::uint32_t>(jitter_rng_.next_bounded(d / 2 + 1));
-  }
-
-  /// The native unit of waiting: one pause instruction per "cycle".
-  static void relax_n(std::uint32_t n) {
-    for (std::uint32_t i = 0; i < n; ++i) cpu_relax();
-  }
-
-  NativeEnv* env_;
   int tid_;
   bool in_tx_ = false;
-  bool in_fallback_ = false;
-  SiteStats stats_{};
-  obs::ThreadObs* obs_ = nullptr;
   obs::EventRing* ring_ = nullptr;
   std::uint64_t trace_origin_ = 0;
-  std::uint32_t starved_ops_ = 0;
-  std::uint64_t deadline_ = 0;  // absolute ns deadline; 0 = disarmed
-  // Deadline throws are armed per op and retired by the first txn region
-  // (see set_deadline); cleared even when that region itself throws.
-  bool deadline_fresh_ = false;
-  Xoshiro256 jitter_rng_{0xB0FFull + 0x9E3779B97F4A7C15ull *
-                                         (static_cast<std::uint64_t>(tid_) + 1)};
+  std::uint64_t relaxed_ = 0;  // cpu_relax()es issued by wait()/pause()
 };
 
 }  // namespace euno::ctx

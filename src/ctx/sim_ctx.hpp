@@ -2,327 +2,36 @@
 //
 // Every shared-memory access runs the full simulator protocol (doom check,
 // HTM conflict detection/set tracking, coherence cost) before the raw
-// load/store. txn() mirrors the native retry/fallback structure, with aborts
-// delivered as sim::TxAbortException instead of hardware rollback.
+// load/store. txn() is the shared retry loop (retry_loop.hpp); SimCtx
+// supplies its simulated-machine primitives, with aborts delivered as
+// sim::TxAbortException instead of hardware rollback.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 
 #include "ctx/common.hpp"
-#include "htm/policy.hpp"
-#include "obs/timeseries.hpp"
+#include "ctx/retry_loop.hpp"
 #include "sim/engine.hpp"
 #include "sim/txabort.hpp"
-#include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace euno::ctx {
 
 /// API-symmetric alias: the simulation object is the long-lived engine env.
 using SimEnv = sim::Simulation;
 
-class SimCtx {
+class SimCtx : public RetryLoop<SimCtx> {
  public:
   SimCtx(sim::Simulation& simulation, int core)
-      : sim_(&simulation),
-        core_(core),
-        jitter_rng_(0xB0FFull +
-                    0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(core + 1)) {}
+      : RetryLoop(core), sim_(&simulation), core_(core) {}
 
   int tid() const { return core_; }
-  SiteStats& stats() { return stats_; }
-  const SiteStats& stats() const { return stats_; }
   sim::Simulation& simulation() { return *sim_; }
 
   /// This core's simulated clock (cycles); the timestamp source for the
-  /// per-op latency histograms.
+  /// per-op latency histograms and the deadline clock.
   std::uint64_t now() const { return sim_->clock_of(core_); }
-
-  /// Observability sink for this thread (nullptr = off). The driver hands
-  /// each simulated thread its own ThreadObs, so recording is lock-free.
-  void set_observer(obs::ThreadObs* o) { obs_ = o; }
-  obs::ThreadObs* observer() { return obs_; }
-
-  // ---- deadline propagation (DESIGN.md §15) ----
-
-  /// Arm an absolute deadline (in now() units, i.e. simulated cycles) for
-  /// the ops issued through this context: once the core clock reaches it,
-  /// txn()/try_txn() throw DeadlineExceeded from their next safe check point
-  /// instead of spinning on. 0 disarms; disarmed (the default) costs nothing.
-  ///
-  /// The unwind is only legal while the op holds no op-level state the ctx
-  /// cannot release — which trees guarantee only up to their *first*
-  /// transactional region (e.g. euno acquires CCM lock bits between its
-  /// upper and lower regions; abandoning there would wedge the slot). So the
-  /// checks stay live only until the first txn()/try_txn() since arming
-  /// returns; past that the op runs to completion, bounding the overrun by
-  /// one op rather than risking a stuck structure.
-  void set_deadline(std::uint64_t abs) {
-    deadline_ = abs;
-    deadline_fresh_ = abs != 0;
-  }
-  void clear_deadline() {
-    deadline_ = 0;
-    deadline_fresh_ = false;
-  }
-  std::uint64_t deadline() const { return deadline_; }
-
-  // ---- transactions ----
-
-  template <class Body>
-  TxnOutcome txn(TxSite site, FallbackLock& lock, const htm::RetryPolicy& policy,
-                 Body&& body) {
-    return txn_impl<true>(site, lock, policy, body);
-  }
-
-  /// HTM-only variant: identical retry structure, but budget exhaustion
-  /// returns (committed=false) instead of serializing on the fallback lock.
-  /// Multi-path policies (sync/three_path.hpp) use this to chain paths.
-  template <class Body>
-  TxnOutcome try_txn(TxSite site, FallbackLock& lock,
-                     const htm::RetryPolicy& policy, Body&& body) {
-    return txn_impl<false>(site, lock, policy, body);
-  }
-
- private:
-  template <bool kAllowFallback, class Body>
-  TxnOutcome txn_impl(TxSite site, FallbackLock& lock,
-                      const htm::RetryPolicy& policy, Body&& body) {
-    TxnOutcome out;
-    auto& st = stats_.at(site);
-    auto& htm_model = sim_->htm();
-    const auto& cfg = sim_->config();
-
-    // Deadline propagation (DESIGN.md §15): a doomed op aborts before doing
-    // any further work. All checks sit outside HTM regions and critical
-    // sections, so the throw never unwinds through either — and they stay
-    // armed only through the op's first transactional region (see
-    // set_deadline); this guard retires them however the region exits.
-    struct DeadlineFreshReset {
-      SimCtx* c;
-      ~DeadlineFreshReset() { c->deadline_fresh_ = false; }
-    } deadline_reset{this};
-    if (deadline_fresh_) deadline_check(st);
-
-    if constexpr (kAllowFallback) {
-      // Permanent HTM-health degradation (DESIGN.md §10): straight to the
-      // lock.
-      if (policy.health_window != 0 &&
-          lock.degraded.load(std::memory_order_relaxed) != 0) {
-        run_fallback(lock, st, out, body);
-        return out;
-      }
-      // Fairness escape hatch: a thread that exhausted its budget on too many
-      // consecutive operations serializes immediately — guaranteed progress.
-      if (policy.starvation_threshold != 0 &&
-          starved_ops_ >= policy.starvation_threshold) {
-        st.starvation_escapes++;
-        starved_ops_ = 0;
-        sim_->record_trace(
-            static_cast<std::uint8_t>(TraceCode::kStarvationEscape),
-            static_cast<std::uint8_t>(site), 0);
-        run_fallback(lock, st, out, body);
-        health_note(lock, policy, st, 1, 0);
-        return out;
-      }
-    }
-
-    int conflict_budget = policy.conflict_retries;
-    int capacity_budget = policy.capacity_retries;
-    int other_budget = policy.other_retries;
-    // Per-reason abort streaks: the exponent of the backoff series.
-    std::uint32_t streak[static_cast<std::size_t>(htm::AbortReason::kCount)] = {};
-    std::uint32_t wait_timeouts = 0;
-    bool subscribe = true;
-
-    for (;;) {
-      // Wait while the fallback lock is held (as native: don't even start).
-      // Naive policy camps on the line; the anti-lemming policy polls it
-      // with exponentially spaced jittered delays, then after the release
-      // waits a jittered grace period and re-arms the retry budget instead
-      // of stampeding with the rest of the convoy. Waited cycles are always
-      // counted (host-side; free), and each episode is bounded by
-      // lock_wait_spin_cap polls — hitting the cap counts a timeout, and
-      // after lock_wait_timeout_limit timed-out episodes the sim-only
-      // rescue stops subscribing so a leaked lock cannot hang the fiber.
-      if (subscribe) {
-        bool waited = false;
-        const std::uint64_t w0 = sim_->clock_of(core_);
-        std::uint32_t polls = 0;
-        std::uint32_t poll_delay = policy.backoff_base;
-        while (atomic_load(lock.word) != 0) {
-          waited = true;
-          if (deadline_fresh_) {
-            // Account the cycles burned so far in this episode before
-            // abandoning it, then bail out of the lock queue.
-            if (sim_->clock_of(core_) >= deadline_) {
-              st.lock_wait_cycles += sim_->clock_of(core_) - w0;
-              deadline_check(st);
-            }
-          }
-          if (++polls >= policy.lock_wait_spin_cap) {
-            polls = 0;
-            st.lock_wait_timeouts++;
-            sim_->record_trace(
-                static_cast<std::uint8_t>(TraceCode::kLockWaitTimeout),
-                static_cast<std::uint8_t>(site), 0);
-            if (policy.lock_wait_timeout_limit != 0 &&
-                ++wait_timeouts >= policy.lock_wait_timeout_limit) {
-              subscribe = false;
-              break;
-            }
-          }
-          if (policy.anti_lemming) {
-            sim_->charge(jitter(poll_delay));
-            poll_delay = std::min(poll_delay * 2, policy.backoff_cap);
-          } else {
-            spin_pause();
-          }
-        }
-        if (waited) {
-          st.lock_wait_cycles += sim_->clock_of(core_) - w0;
-          if (policy.anti_lemming && subscribe) {
-            const std::uint32_t g =
-                policy.rearm_grace != 0
-                    ? static_cast<std::uint32_t>(
-                          jitter_rng_.next_bounded(policy.rearm_grace + 1))
-                    : 0;
-            if (g != 0) {
-              st.backoff_cycles += g;
-              sim_->charge(g);
-            }
-            conflict_budget = policy.conflict_retries;
-            capacity_budget = policy.capacity_retries;
-            other_budget = policy.other_retries;
-            for (auto& s : streak) s = 0;
-          }
-        }
-      }
-
-      st.attempts++;
-      if (!subscribe) st.unsubscribed_attempts++;
-      const std::uint64_t start_clock = sim_->clock_of(core_);
-      sim_->record_trace(static_cast<std::uint8_t>(TraceCode::kTxBegin),
-                         static_cast<std::uint8_t>(site), 0);
-      htm_model.tx_begin(core_);
-      sim_->charge(cfg.htm.tx_begin_cost);
-      bool aborted = false;
-      htm::TxResult r{};
-      try {
-        // Subscribe the fallback lock inside the transaction. Subscription
-        // at begin is load-bearing: checking the lock any later could let a
-        // transaction observe partial multi-line state of a fallback
-        // holder's critical section with no conflict ever firing. The only
-        // path that skips it is the explicit lock-timeout rescue above.
-        if (subscribe) {
-          if (atomic_load(lock.word) != 0) {
-            htm_model.tx_abort_explicit(core_, htm::xabort_code::kFallbackLocked);
-          }
-        }
-        // Schedule-exploration hooks (no-op under the default policy): may
-        // deschedule this fiber with the transaction open, or doom it on
-        // the spot (throws through the explicit-abort path).
-        sim_->sched_tx_begin(core_);
-        body();
-        htm_model.tx_commit(core_);
-      } catch (const sim::TxAbortException& e) {
-        // CAUTION: every fiber shares this OS thread's __cxa_eh_globals, so
-        // no scheduling point may occur while an exception is alive — the
-        // catch clause only copies the result; all handling (which charges
-        // simulated time and may yield) happens after the handler ends.
-        r = e.result;
-        aborted = true;
-      }
-      if (!aborted) {
-        sim_->charge(cfg.htm.tx_commit_cost);
-        sim_->counters(core_).cycles_in_tx += sim_->clock_of(core_) - start_clock;
-        st.commits++;
-        sim_->record_trace(static_cast<std::uint8_t>(TraceCode::kTxCommit),
-                           static_cast<std::uint8_t>(site), 0);
-        sim_->flush_trace();  // transaction boundary: drain this core's ring
-        if (policy.starvation_threshold != 0) starved_ops_ = 0;
-        health_note(lock, policy, st, out.aborts + 1, 1);
-        out.committed = true;
-        return out;
-      }
-      htm_model.on_abort_handled(core_);
-      sim_->charge(cfg.htm.abort_penalty);
-      const std::uint64_t wasted = sim_->clock_of(core_) - start_clock;
-      sim_->counters(core_).cycles_wasted += wasted;
-      if (obs_ != nullptr) {
-        obs_->abort_wasted.record(wasted);
-        obs_->series.note_abort(sim_->clock_of(core_));
-      }
-      if (r.reason == htm::AbortReason::kExplicit &&
-          r.xabort_payload == htm::xabort_code::kFallbackLocked) {
-        r.reason = htm::AbortReason::kLockBusy;
-      }
-      if (r.xabort_payload == htm::xabort_code::kFaultInjected) {
-        // Injection attribution: bursts arrive as explicit aborts, spurious
-        // per-access aborts as kOther (both tagged with the 0xA5 payload).
-        sim_->record_trace(
-            static_cast<std::uint8_t>(TraceCode::kFaultInjected),
-            static_cast<std::uint8_t>(r.reason == htm::AbortReason::kExplicit
-                                          ? obs::FaultArg::kBurst
-                                          : obs::FaultArg::kSpurious),
-            0);
-      }
-      st.note_abort(r);
-      out.aborts++;
-      sim_->record_trace(static_cast<std::uint8_t>(TraceCode::kAbort),
-                         static_cast<std::uint8_t>(r.reason),
-                         static_cast<std::uint8_t>(r.conflict));
-      sim_->flush_trace();  // transaction boundary: drain this core's ring
-      if (r.reason == htm::AbortReason::kLockBusy) continue;
-      int* budget = &other_budget;
-      if (r.reason == htm::AbortReason::kConflict) budget = &conflict_budget;
-      if (r.reason == htm::AbortReason::kCapacity) budget = &capacity_budget;
-      if (--*budget < 0) {
-        if constexpr (!kAllowFallback) break;
-        if (subscribe) break;
-        // The unsubscribed rescue cannot serialize on the fallback lock —
-        // that lock is exactly what never came free — so re-arm and keep
-        // trying under HTM (strong atomicity keeps this sound).
-        conflict_budget = policy.conflict_retries;
-        capacity_budget = policy.capacity_retries;
-        other_budget = policy.other_retries;
-        for (auto& s : streak) s = 0;
-      }
-      // Between attempts is the cheapest place to notice a blown deadline:
-      // nothing is held, nothing is open.
-      if (deadline_fresh_) deadline_check(st);
-      // Hardened path: seeded-jitter exponential backoff per abort reason,
-      // desynchronizing mutually-destructive retry storms. Capacity aborts
-      // never back off (the footprint does not shrink by waiting).
-      if (policy.backoff && r.reason != htm::AbortReason::kCapacity) {
-        const std::uint32_t n = ++streak[static_cast<std::size_t>(r.reason)];
-        std::uint64_t d = static_cast<std::uint64_t>(policy.backoff_base)
-                          << std::min<std::uint32_t>(n - 1, 16);
-        d = std::min<std::uint64_t>(d, policy.backoff_cap);
-        const std::uint32_t j = jitter(static_cast<std::uint32_t>(d));
-        st.backoff_cycles += j;
-        sim_->charge(j);
-      }
-    }
-
-    if constexpr (kAllowFallback) {
-      // Last exit before joining the fallback queue: a doomed op must shed
-      // here rather than contend for the lock it can no longer afford.
-      if (deadline_fresh_) deadline_check(st);
-      if (policy.starvation_threshold != 0) starved_ops_++;
-      // Fallback path: acquire the lock (the write aborts all subscribed
-      // transactions via strong atomicity), run the body plain, release.
-      run_fallback(lock, st, out, body);
-      health_note(lock, policy, st, out.aborts + 1, 0);
-    }
-    return out;
-  }
-
- public:
-  bool in_fallback() const { return in_fallback_; }
 
   [[noreturn]] void tx_abort_user() {
     sim_->htm().tx_abort_explicit(core_, htm::xabort_code::kUser);
@@ -440,106 +149,99 @@ class SimCtx {
   void prefetch(const void*, std::size_t = 0) const {}
 
  private:
-  /// Acquire the fallback lock, run the body serially, release. The
-  /// acquisition write aborts every subscribed transaction via strong
-  /// atomicity. Applies the lock-holder-delay fault injection (the acquirer
-  /// is "preempted" with the lock held: the stall is charged before the
-  /// body, so every waiter sees the full delayed-release window).
+  friend class RetryLoop<SimCtx>;
+
+  // ---- RetryLoop backend (retry_loop.hpp) ----
+
+  /// The simulated machine has strong atomicity, so an unsubscribed attempt
+  /// that truly conflicts with a (dead) fallback holder is still doomed:
+  /// the lock-timeout rescue is sound here.
+  static constexpr bool kCanUnsubscribe = true;
+  static constexpr bool htm_available() { return true; }
+  bool lock_held(FallbackLock& lock) { return atomic_load(lock.word) != 0; }
+  /// Lock-wait and backoff are accounted in simulated cycles.
+  std::uint64_t wait_clock() const { return now(); }
+  void wait(std::uint32_t n) { sim_->charge(n); }
+  void pause() { spin_pause(); }
+
   template <class Body>
-  void run_fallback(FallbackLock& lock, htm::TxStats& st, TxnOutcome& out,
-                    Body& body) {
-    for (;;) {
-      if (cas<std::uint32_t>(lock.word, 0, 1)) break;
-      spin_pause();
+  Attempt attempt(TxSite site, FallbackLock& lock, bool subscribe, Body& body) {
+    auto& htm_model = sim_->htm();
+    const auto& cfg = sim_->config();
+    const std::uint64_t start = now();
+    note_event(TraceCode::kTxBegin, static_cast<std::uint8_t>(site), 0);
+    htm_model.tx_begin(core_);
+    sim_->charge(cfg.htm.tx_begin_cost);
+    Attempt a;
+    try {
+      // Subscribe the fallback lock inside the transaction. Subscription
+      // at begin is load-bearing: checking the lock any later could let a
+      // transaction observe partial multi-line state of a fallback
+      // holder's critical section with no conflict ever firing. The only
+      // path that skips it is the explicit lock-timeout rescue.
+      if (subscribe && atomic_load(lock.word) != 0) {
+        htm_model.tx_abort_explicit(core_, htm::xabort_code::kFallbackLocked);
+      }
+      // Schedule-exploration hooks (no-op under the default policy): may
+      // deschedule this fiber with the transaction open, or doom it on
+      // the spot (throws through the explicit-abort path).
+      sim_->sched_tx_begin(core_);
+      body();
+      htm_model.tx_commit(core_);
+      a.committed = true;
+    } catch (const sim::TxAbortException& e) {
+      // CAUTION: every fiber shares this OS thread's __cxa_eh_globals, so
+      // no scheduling point may occur while an exception is alive — the
+      // catch clause only copies the result; all handling (which charges
+      // simulated time and may yield) happens after the handler ends.
+      a.result = e.result;
     }
-    st.fallbacks++;
-    if (obs_ != nullptr) obs_->series.note_fallback(sim_->clock_of(core_));
-    sim_->record_trace(static_cast<std::uint8_t>(TraceCode::kFallback), 0, 0);
-    sim_->record_trace(
-        static_cast<std::uint8_t>(TraceCode::kFallbackAcquired), 0, 0);
+    if (a.committed) {
+      sim_->charge(cfg.htm.tx_commit_cost);
+      sim_->counters(core_).cycles_in_tx += now() - start;
+      return a;
+    }
+    htm_model.on_abort_handled(core_);
+    sim_->charge(cfg.htm.abort_penalty);
+    a.abort_at = now();
+    a.wasted = a.abort_at - start;
+    sim_->counters(core_).cycles_wasted += a.wasted;
+    htm::TxResult& r = a.result;
+    if (r.reason == htm::AbortReason::kExplicit &&
+        r.xabort_payload == htm::xabort_code::kFallbackLocked) {
+      r.reason = htm::AbortReason::kLockBusy;
+    }
+    if (r.xabort_payload == htm::xabort_code::kFaultInjected) {
+      // Injection attribution: bursts arrive as explicit aborts, spurious
+      // per-access aborts as kOther (both tagged with the 0xA5 payload).
+      const obs::FaultArg arg = r.reason == htm::AbortReason::kExplicit
+                                    ? obs::FaultArg::kBurst
+                                    : obs::FaultArg::kSpurious;
+      note_event(TraceCode::kFaultInjected, static_cast<std::uint8_t>(arg), 0);
+    }
+    return a;
+  }
+
+  void acquire_fallback(FallbackLock& lock) {
+    while (!cas<std::uint32_t>(lock.word, 0, 1)) spin_pause();
+  }
+  /// Lock-holder-delay fault injection: the acquirer is "preempted" with
+  /// the lock held. The stall is charged before the body, so every waiter
+  /// sees the full delayed-release window.
+  void after_acquire() {
     const std::uint64_t hold = sim_->htm().fault_lock_hold_delay();
     if (hold != 0) {
-      sim_->record_trace(
-          static_cast<std::uint8_t>(TraceCode::kFaultInjected),
-          static_cast<std::uint8_t>(obs::FaultArg::kLockHolderDelay), 0);
+      note_event(TraceCode::kFaultInjected,
+                 static_cast<std::uint8_t>(obs::FaultArg::kLockHolderDelay), 0);
       sim_->charge(hold);
     }
-    in_fallback_ = true;
-    body();
-    in_fallback_ = false;
+  }
+  void release_fallback(FallbackLock& lock) {
     atomic_store<std::uint32_t>(lock.word, 0);
-    sim_->record_trace(
-        static_cast<std::uint8_t>(TraceCode::kFallbackReleased), 0, 0);
-    st.commits++;
-    out.used_fallback = true;
-    out.committed = true;
-  }
-
-  /// HTM-health monitor (DESIGN.md §10): accumulate this op's HTM attempt /
-  /// commit counts into the tree's shared window; when the window fills
-  /// with a commit rate below the threshold, permanently degrade the tree
-  /// to lock-only mode. All bookkeeping is host-side (zero simulated cost).
-  void health_note(FallbackLock& lock, const htm::RetryPolicy& policy,
-                   htm::TxStats& st, std::uint64_t attempts,
-                   std::uint64_t commits) {
-    if (policy.health_window == 0) return;
-    if (lock.degraded.load(std::memory_order_relaxed) != 0) return;
-    const std::uint64_t a =
-        lock.health_attempts.fetch_add(attempts, std::memory_order_relaxed) +
-        attempts;
-    const std::uint64_t c =
-        lock.health_commits.fetch_add(commits, std::memory_order_relaxed) +
-        commits;
-    if (a < policy.health_window) return;
-    if (c * 100 < a * policy.health_min_commit_pct) {
-      std::uint32_t expect = 0;
-      if (lock.degraded.compare_exchange_strong(expect, 1,
-                                                std::memory_order_relaxed)) {
-        st.degradations++;
-        sim_->record_trace(static_cast<std::uint8_t>(TraceCode::kHtmDegraded),
-                           0, 0);
-      }
-    } else {
-      // Healthy window: start a new one.
-      lock.health_attempts.store(0, std::memory_order_relaxed);
-      lock.health_commits.store(0, std::memory_order_relaxed);
-    }
-  }
-
-  /// Throws when the armed deadline has passed. Callers sit outside HTM
-  /// regions and critical sections (common.hpp on DeadlineExceeded); the
-  /// clock read is host-side and free. Only live while deadline_fresh_: an
-  /// op that already completed a transactional region may hold tree-level
-  /// state (CCM lock bits, clones) that the ctx cannot release.
-  void deadline_check(htm::TxStats& st) {
-    if (deadline_fresh_ && sim_->clock_of(core_) >= deadline_) {
-      st.deadline_exceeded++;
-      sim_->record_trace(
-          static_cast<std::uint8_t>(TraceCode::kDeadlineExceeded), 0, 0);
-      sim_->flush_trace();
-      throw DeadlineExceeded{};
-    }
-  }
-
-  /// Seeded jitter: uniform in [d/2, d]. The per-core seed keeps hardened
-  /// runs deterministic and distinct across cores.
-  std::uint32_t jitter(std::uint32_t d) {
-    if (d <= 1) return d;
-    return d / 2 +
-           static_cast<std::uint32_t>(jitter_rng_.next_bounded(d / 2 + 1));
   }
 
   sim::Simulation* sim_;
   int core_;
-  bool in_fallback_ = false;
-  SiteStats stats_{};
-  obs::ThreadObs* obs_ = nullptr;
-  std::uint32_t starved_ops_ = 0;  // consecutive ops that exhausted the budget
-  std::uint64_t deadline_ = 0;     // absolute cycle deadline; 0 = disarmed
-  // Deadline throws are armed per op and retired by the first txn region
-  // (see set_deadline); cleared even when that region itself throws.
-  bool deadline_fresh_ = false;
-  Xoshiro256 jitter_rng_;
 };
 
 }  // namespace euno::ctx

@@ -57,11 +57,13 @@ struct RetryPolicy {
   /// this many polls; hitting the cap counts a lock_wait_timeout (the wait
   /// itself continues — mutual exclusion still requires the release).
   std::uint32_t lock_wait_spin_cap = 1u << 20;
-  /// Simulator-only rescue: after this many timed-out episodes within one
+  /// Rescue for backends with kCanUnsubscribe (the simulator only; see
+  /// ctx/retry_loop.hpp): after this many timed-out episodes within one
   /// operation, further HTM attempts run *unsubscribed* (no early fallback-
   /// lock check), so a leaked / never-released lock cannot hang the fiber.
-  /// Strong atomicity still kills genuinely conflicting attempts. 0 = off
-  /// (default: wait forever, as real subscribed RTM must).
+  /// Strong atomicity still kills genuinely conflicting attempts. Native
+  /// RTM ignores it: real subscribed RTM must wait for the release. 0 = off
+  /// (default: wait forever).
   std::uint32_t lock_wait_timeout_limit = 0;
 
   /// HTM-health monitor (glibc-tunable style): when a window of
@@ -132,8 +134,8 @@ struct TxStats {
   std::uint64_t fallbacks = 0;  // attempts completed under the fallback lock
   std::array<std::uint64_t, static_cast<std::size_t>(AbortReason::kCount)> aborts{};
   std::array<std::uint64_t, static_cast<std::size_t>(ConflictKind::kCount)> conflicts{};
-  // ---- hardened-path accounting (sim: simulated cycles; native: spin/relax
-  // iterations — see DESIGN.md §10 on the unit asymmetry) ----
+  // ---- hardened-path accounting (in the context's wait_clock units: sim
+  // simulated cycles, native cpu_relax iterations — DESIGN.md §10) ----
   std::uint64_t lock_wait_cycles = 0;    // waiting for fallback-lock release
   std::uint64_t lock_wait_timeouts = 0;  // wait episodes that hit the spin cap
   std::uint64_t backoff_cycles = 0;      // post-abort backoff + re-arm grace

@@ -17,9 +17,9 @@
 // not encoded: rings are per-core by construction and decode() stamps it
 // back in.
 //
-// The inline buffer spills into a growable byte vector when full, and
-// flush() moves any buffered tail there explicitly (SimCtx flushes at
-// transaction boundaries). Where the tail sits never changes the stream:
+// The inline buffer spills into a growable byte vector when full (flush()
+// moves the buffered tail there). Where the tail sits never changes the
+// stream, so nothing flushes at transaction boundaries or fiber switches:
 // each ring is written by one core only, and decode() reads the spill then
 // the inline tail, so a ring may hold events across fiber switches (per-core
 // streams stay contiguous and clock-ordered; see Simulation::trace_events
@@ -64,7 +64,7 @@ class EventRing {
   }
 
   /// Move the inline buffer's tail into the spill vector. Cheap when empty;
-  /// called at transaction boundaries.
+  /// called by append() when the inline buffer is full.
   void flush() {
     if (size_ == 0) return;
     spill_.insert(spill_.end(), buf_, buf_ + size_);

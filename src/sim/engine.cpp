@@ -497,7 +497,7 @@ void Simulation::sched_tx_begin_slow(int core) {
   if (current_ == nullptr) return;
   // Storm first: a doomed transaction never gets to run, so preempting it
   // as well would only explore redundant schedules. Throws through the
-  // explicit-abort path; SimCtx::txn's catch handles it like any abort.
+  // explicit-abort path; SimCtx::attempt's catch handles it like any abort.
   if (sched_.policy.abort_storm_pct > 0 &&
       sched_.rng.next_bounded(100) < sched_.policy.abort_storm_pct) {
     htm_->tx_abort_explicit(core, htm::xabort_code::kSchedulerInjected);

@@ -214,11 +214,6 @@ class Simulation {
       active_ring_->append(current_->clock, code, a, b);
     }
   }
-  /// Flush the running core's event ring (SimCtx calls this at transaction
-  /// boundaries).
-  void flush_trace() {
-    if (active_ring_ != nullptr) [[unlikely]] active_ring_->flush();
-  }
   /// All recorded events merged across cores, ordered by clock (stable: a
   /// core's own events keep their recording order, equal clocks keep core
   /// order — bit-identical to the concat+stable_sort this replaced).
@@ -259,7 +254,7 @@ class Simulation {
   /// the deterministic policy to terminate.
   bool schedule_truncated() const { return sched_.truncated; }
 
-  /// Called by SimCtx::txn right after a transaction begins: applies the
+  /// Called by SimCtx::attempt right after a transaction begins: applies the
   /// adversarial hooks (preempt-on-tx-begin yields; an abort storm throws
   /// TxAbortException via the explicit-abort path). Inline no-op unless a
   /// hook is armed, so the production txn path is untouched.

@@ -43,7 +43,7 @@ void SimHTM::tx_begin(int core) {
     // like a remote kill — mirror abort_remote (roll back, a pure no-op on
     // the now-empty sets except for clearing `active`) and leave the result
     // pending for check_doomed to raise at the next instrumented access,
-    // which in SimCtx::txn is the subscription load, before the body runs.
+    // which in SimCtx::attempt is the subscription load, before the body runs.
     fault_.refresh_capacity();
     eff_wcap_ = fault_.write_lines();
     eff_rcap_ = fault_.read_lines();

@@ -154,7 +154,7 @@ class SimHTM {
 
   /// Lock-holder-delay draw for one fallback-lock acquisition, in extra
   /// cycles to hold before running the body (0 = no injection). Called by
-  /// SimCtx::txn on the fallback path.
+  /// SimCtx::after_acquire on the fallback path.
   std::uint64_t fault_lock_hold_delay() {
     if (!fault_.on()) return 0;
     return fault_.draw_lock_hold_delay();
