@@ -3,61 +3,29 @@
 //       enough, and what it costs when contention is low;
 //   (b) the write scheduler's retry threshold (Algorithm 3's `threshold`);
 //   (c) the adaptive detector's window and trigger threshold.
+#include <memory>
+
 #include "core/euno_tree.hpp"
 #include "ctx/sim_ctx.hpp"
 #include "fig_common.hpp"
-#include "workload/ycsb.hpp"
 
 using namespace euno;
 
 namespace {
 
-struct RunResult {
-  double mops = 0;
-  double aborts_per_op = 0;
-};
-
 template <int S>
-RunResult run_euno(const driver::ExperimentSpec& spec, core::EunoConfig cfg) {
-  sim::Simulation simulation(spec.machine);
-  ctx::SimCtx setup(simulation, 0);
-  core::EunoBPTree<ctx::SimCtx, 16, S> tree(setup, cfg);
-  Xoshiro256 pre(spec.workload.seed ^ 0x9e3779b97f4a7c15ull);
-  for (std::uint64_t i = 0; i < spec.preload; ++i) {
-    tree.put(setup, i * spec.preload_stride, pre.next());
-  }
-  std::vector<ctx::SiteStats> stats(static_cast<std::size_t>(spec.threads));
-  for (int t = 0; t < spec.threads; ++t) {
-    simulation.spawn(t, [&, t](int core) {
-      ctx::SimCtx c(simulation, core);
-      workload::OpStream stream(spec.workload, t);
-      for (std::uint64_t i = 0; i < spec.ops_per_thread; ++i) {
-        const auto op = stream.next();
-        if (op.type == workload::OpType::kGet) {
-          trees::Value v;
-          (void)tree.get(c, op.key, &v);
-        } else {
-          tree.put(c, op.key, op.value);
-        }
-      }
-      stats[static_cast<std::size_t>(t)] = c.stats();
-    });
-  }
-  simulation.run();
-  RunResult r;
-  const double ops =
-      static_cast<double>(spec.ops_per_thread) * static_cast<double>(spec.threads);
-  r.mops = ops / (static_cast<double>(simulation.max_clock()) / (spec.ghz * 1e9)) /
-           1e6;
-  std::uint64_t aborts = 0;
-  for (const auto& s : stats) aborts += s.total().total_aborts();
-  r.aborts_per_op = static_cast<double>(aborts) / ops;
-  tree.destroy(setup);
-  return r;
+driver::ExperimentResult run_euno(const driver::ExperimentSpec& spec,
+                                  const core::EunoConfig& cfg) {
+  using Tree = core::EunoBPTree<ctx::SimCtx, 16, S>;
+  return driver::run_sim_experiment(spec, [&cfg](ctx::SimCtx& c) {
+    return std::make_unique<trees::AnyTreeOf<ctx::SimCtx, Tree>>(
+        c, [&cfg](ctx::SimCtx& s) { return Tree(s, cfg); });
+  });
 }
 
-RunResult run_for_segments(int s, const driver::ExperimentSpec& spec,
-                           const core::EunoConfig& cfg) {
+driver::ExperimentResult run_for_segments(int s,
+                                          const driver::ExperimentSpec& spec,
+                                          const core::EunoConfig& cfg) {
   switch (s) {
     case 1: return run_euno<1>(spec, cfg);
     case 2: return run_euno<2>(spec, cfg);
@@ -87,7 +55,8 @@ int main(int argc, char** argv) {
     for (int s : args.quick ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8}) {
       const auto r = run_for_segments(s, spec, core::EunoConfig::with_markbits());
       table.add_row({"segments", std::to_string(s), stats::Table::num(theta),
-                     stats::Table::num(r.mops), stats::Table::num(r.aborts_per_op)});
+                     stats::Table::num(r.throughput_mops),
+                     stats::Table::num(r.aborts_per_op)});
     }
   }
 
@@ -97,7 +66,8 @@ int main(int argc, char** argv) {
     cfg.sched_retries = retries;
     const auto r = run_for_segments(4, spec, cfg);
     table.add_row({"sched_retries", std::to_string(retries), "0.90",
-                   stats::Table::num(r.mops), stats::Table::num(r.aborts_per_op)});
+                   stats::Table::num(r.throughput_mops),
+                   stats::Table::num(r.aborts_per_op)});
   }
 
   for (std::uint32_t window :
@@ -107,7 +77,8 @@ int main(int argc, char** argv) {
     cfg.adapt_window = window;
     const auto r = run_for_segments(4, spec, cfg);
     table.add_row({"adapt_window", std::to_string(window), "0.90",
-                   stats::Table::num(r.mops), stats::Table::num(r.aborts_per_op)});
+                   stats::Table::num(r.throughput_mops),
+                   stats::Table::num(r.aborts_per_op)});
   }
 
   table.print(args.csv);

@@ -4,11 +4,12 @@
 // figures hide: the retry/fallback cascade of the monolithic baseline, and
 // Euno's detector engaging the CCM on hot leaves early in the run and then
 // holding the abort rate flat.
+#include <memory>
+
 #include "core/euno_tree.hpp"
 #include "ctx/sim_ctx.hpp"
 #include "fig_common.hpp"
 #include "trees/htmbtree/htm_bptree.hpp"
-#include "workload/ycsb.hpp"
 
 using namespace euno;
 
@@ -21,38 +22,21 @@ struct Timeline {
   std::vector<sim::TraceEvent> events;  // kept for --trace export
 };
 
-template <class MakeTree>
-Timeline run_traced(const driver::ExperimentSpec& spec, MakeTree make,
-                    int n_buckets) {
-  sim::Simulation simulation(spec.machine);
-  ctx::SimCtx setup(simulation, 0);
-  auto tree = make(setup);
-  Xoshiro256 pre(spec.workload.seed ^ 0x9e3779b97f4a7c15ull);
-  for (std::uint64_t i = 0; i < spec.preload; ++i) {
-    tree.put(setup, i * spec.preload_stride, pre.next());
-  }
-  simulation.enable_trace();
-  for (int t = 0; t < spec.threads; ++t) {
-    simulation.spawn(t, [&, t](int core) {
-      ctx::SimCtx c(simulation, core);
-      workload::OpStream stream(spec.workload, t);
-      for (std::uint64_t i = 0; i < spec.ops_per_thread; ++i) {
-        const auto op = stream.next();
-        if (op.type == workload::OpType::kGet) {
-          trees::Value v;
-          (void)tree.get(c, op.key, &v);
-        } else {
-          tree.put(c, op.key, op.value);
-        }
-      }
-    });
-  }
-  simulation.run();
+/// Runs the spec on the tree `Tree` built by `make`, tracing the measured
+/// phase (the engine records only while fibers run, so preload adds no
+/// events), and buckets the events by simulated time.
+template <class Tree, class Make>
+Timeline run_traced(driver::ExperimentSpec spec, Make make, int n_buckets) {
+  spec.obs.trace = true;
+  const driver::ExperimentResult r =
+      driver::run_sim_experiment(spec, [&make](ctx::SimCtx& c) {
+        return std::make_unique<trees::AnyTreeOf<ctx::SimCtx, Tree>>(c, make);
+      });
 
   Timeline tl;
-  tl.bucket_cycles = simulation.max_clock() / static_cast<std::uint64_t>(n_buckets) + 1;
+  tl.bucket_cycles = r.sim_cycles / static_cast<std::uint64_t>(n_buckets) + 1;
   tl.buckets.assign(static_cast<std::size_t>(n_buckets), {});
-  tl.events = simulation.trace_events();
+  tl.events = r.trace.merged();
   for (const auto& ev : tl.events) {
     auto& b = tl.buckets[std::min<std::size_t>(ev.clock / tl.bucket_cycles,
                                                tl.buckets.size() - 1)];
@@ -65,7 +49,6 @@ Timeline run_traced(const driver::ExperimentSpec& spec, MakeTree make,
       default: break;
     }
   }
-  tree.destroy(setup);
   return tl;
 }
 
@@ -84,12 +67,12 @@ int main(int argc, char** argv) {
   const int n_buckets = args.quick ? 6 : 12;
   bench::print_header("Timeline", "event trace at theta=0.9, 20 threads", spec);
 
-  const auto base = run_traced(
+  const auto base = run_traced<trees::HtmBPTree<ctx::SimCtx>>(
       spec,
-      [&](ctx::SimCtx& c) { return trees::HtmBPTree<ctx::SimCtx>(c); },
+      [](ctx::SimCtx& c) { return trees::HtmBPTree<ctx::SimCtx>(c); },
       n_buckets);
-  auto cfg = core::EunoConfig::full();
-  const auto euno = run_traced(
+  const auto cfg = core::EunoConfig::full();
+  const auto euno = run_traced<core::EunoBPTree<ctx::SimCtx>>(
       spec,
       [&](ctx::SimCtx& c) { return core::EunoBPTree<ctx::SimCtx>(c, cfg); },
       n_buckets);

@@ -45,10 +45,10 @@ CONDITIONAL_KEYS = (
     "suffix_bytes",
 )
 
-# Conditional *spec* keys: emitted only for bytes-domain workloads. Every
-# golden is a u64 run, so a golden-gated run that emits any of these has a
-# key-domain default leak — the most direct way the traits refactor could
-# silently change the benched configuration.
+# Conditional *spec* keys: emitted only for bytes-domain workloads. A point
+# whose golden is a u64 run (every golden but fig_scan's) and that emits any
+# of these has a key-domain default leak — the most direct way the traits
+# refactor could silently change the benched configuration.
 CONDITIONAL_SPEC_KEYS = (
     "key_domain",
     "key_style",

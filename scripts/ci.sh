@@ -34,6 +34,11 @@
 # label, whose native multi-threaded soak drives per-shard epoch domains
 # concurrently — a cross-domain reclamation bug frees memory a reader in
 # another shard still holds, which ASan turns into a hard failure.
+# The asan and ubsan jobs also run the `driver` label: driver_test, which
+# takes the experiment runner through every backend × target × key-codec
+# path (sim and native, single tree and sharded store, u64 and string keys),
+# so the runner's captured references and its tree/store teardown run under
+# both sanitizers.
 # The default, tsan and asan jobs all run the `strkey` label — the
 # bytes-key-domain battery (string-native conformance with shared-prefix
 # torture, the u64-codec registry sweep over the str-* trees, the SIMD
@@ -80,12 +85,13 @@ case "$job" in
   asan)
     cmake -B build-asan -S . -DEUNO_ASAN=ON
     cmake --build build-asan -j
-    ctest --test-dir build-asan --output-on-failure -L "fault|store|strkey"
+    ctest --test-dir build-asan --output-on-failure -L "fault|store|strkey|driver"
     ;;
   ubsan)
     cmake -B build-ubsan -S . -DEUNO_UBSAN=ON
     cmake --build build-ubsan -j
-    ctest --test-dir build-ubsan --output-on-failure -L "conformance|fault|lin|sim-engine"
+    ctest --test-dir build-ubsan --output-on-failure \
+      -L "conformance|fault|lin|sim-engine|driver"
     ;;
   *)
     echo "usage: $0 [default|tsan|asan|ubsan]" >&2

@@ -3,10 +3,14 @@
 // One ExperimentSpec describes tree kind + workload + machine + thread
 // count; run_sim_experiment executes it on the simulated multicore and
 // returns throughput, abort decomposition, instruction counts and memory
-// figures — the quantities the paper's figures are built from.
+// figures — the quantities the paper's figures are built from. Both entry
+// points share one runner over (backend × target × key codec); see
+// experiment.cpp.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +26,7 @@
 #include "sim/machine.hpp"
 #include "store/options.hpp"
 #include "trees/kinds.hpp"
+#include "trees/registry.hpp"
 #include "workload/ycsb.hpp"
 
 namespace euno::driver {
@@ -149,11 +154,23 @@ struct ExperimentResult {
 };
 
 /// Runs the spec on the simulated multicore. Deterministic for a given spec.
+/// spec.threads must lie in [1, simulated core count].
 ExperimentResult run_sim_experiment(const ExperimentSpec& spec);
+
+/// Builds one u64-keyed tree on the simulator — for benches that run
+/// structures or configurations the registry does not carry.
+using SimTreeFactory =
+    std::function<std::unique_ptr<trees::AnyTree<ctx::SimCtx>>(ctx::SimCtx&)>;
+
+/// run_sim_experiment with every tree built by `make` instead of the
+/// registry entry for spec.tree (u64 key domain only).
+ExperimentResult run_sim_experiment(const ExperimentSpec& spec,
+                                    const SimTreeFactory& make);
 
 /// Runs the spec with real threads (native engine; real RTM when present).
 /// Throughput is wall-clock. Useful for examples and smoke tests; the paper
-/// figures are regenerated with the simulator.
+/// figures are regenerated with the simulator. spec.threads must lie in
+/// [1, ctx::NativeEnv::max_threads()].
 ExperimentResult run_native_experiment(const ExperimentSpec& spec);
 
 }  // namespace euno::driver

@@ -3,6 +3,8 @@
 // and runs far faster than the monolithic HTM-B+Tree.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "driver/experiment.hpp"
 
 namespace euno::driver {
@@ -94,6 +96,74 @@ TEST(Driver, NativeEngineSmoke) {
   const auto r = run_native_experiment(spec);
   EXPECT_EQ(r.ops, 4000u);
   EXPECT_GT(r.throughput_mops, 0.0);
+}
+
+// The bytes-domain store path on the simulator: a closed loop through a
+// 4-shard store of string-keyed trees, all four op types. The constants pin
+// the results exactly, so any drift in preload, key materialization, shard
+// routing or the result fold shows up here.
+TEST(Driver, BytesStoreSimPinned) {
+  auto spec = small_spec(TreeKind::kStrHtmBPTree, 0.9, 4);
+  spec.workload.key_range = 1 << 12;
+  spec.workload.key_domain = workload::KeyDomain::kBytes;
+  spec.workload.mix = {40, 40, 10, 10};
+  spec.workload.scan_len = 8;
+  spec.preload = spec.workload.key_range / 2;
+  spec.ops_per_thread = 500;
+  spec.obs.latency = true;
+  spec.store.shards = 4;
+  const auto r = run_sim_experiment(spec);
+  EXPECT_EQ(r.sim_cycles, 665945u);
+  EXPECT_EQ(r.commits, 2000u);
+  EXPECT_EQ(r.attempts, 2034u);
+  EXPECT_EQ(r.aborts_total, 34u);
+  EXPECT_EQ(r.admitted_ops, 2000u);
+  EXPECT_EQ(r.suffix_bytes, 378432u);
+  EXPECT_EQ(r.mem_total, 475072u);
+  // Latency is an obs channel: zero when observability is compiled out.
+  EXPECT_EQ(r.lat_p99, obs::kCompiledIn ? 5120.0 : 0.0);
+}
+
+// All four native paths (tree or store, u64 or bytes keys) through the
+// driver: every op is served and the obs/memory fields are populated.
+TEST(Driver, NativePathsServeEveryOp) {
+  for (const bool store : {false, true}) {
+    for (const bool bytes : {false, true}) {
+      SCOPED_TRACE(std::string(store ? "store" : "tree") +
+                   (bytes ? "/bytes" : "/u64"));
+      auto spec = small_spec(bytes ? TreeKind::kStrMasstree : TreeKind::kEuno,
+                             0.9, 2);
+      spec.workload.key_range = 1 << 12;
+      spec.preload = spec.workload.key_range / 2;
+      spec.ops_per_thread = 300;
+      spec.obs.latency = true;
+      if (bytes) spec.workload.key_domain = workload::KeyDomain::kBytes;
+      if (store) spec.store.shards = 2;
+      const auto r = run_native_experiment(spec);
+      EXPECT_EQ(r.ops, 600u);
+      EXPECT_GT(r.throughput_mops, 0.0);
+      if (obs::kCompiledIn) {
+        EXPECT_GT(r.lat_p50, 0.0);
+      }
+      if (bytes) {
+        EXPECT_GT(r.suffix_bytes, 0u);
+      }
+      if (store) {
+        EXPECT_EQ(r.admitted_ops, r.ops);
+        EXPECT_EQ(r.shed_ops, 0u);
+      }
+    }
+  }
+}
+
+// The thread count is checked against the backend's capacity before anything
+// is built, so an invalid count fails fast instead of dividing by zero ops or
+// asserting inside an already running worker.
+TEST(DriverDeathTest, NativeRejectsThreadCountOutsideCapacity) {
+  auto spec = small_spec(TreeKind::kEuno, 0.5, 0);
+  EXPECT_DEATH(run_native_experiment(spec), "thread count");
+  spec.threads = 65;
+  EXPECT_DEATH(run_native_experiment(spec), "thread count");
 }
 
 TEST(Driver, MemoryAccounting) {
