@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   const auto args = stats::BenchArgs::parse(argc, argv);
   auto spec = bench::figure_spec(args);
   // The policy-sensitive baseline by default; --tree swaps the subject.
-  spec.tree = bench::selected_tree_kind(args, driver::TreeKind::kHtmBPTree);
+  spec.tree = bench::selected_tree_or(args, "htm-bptree");
   spec.workload.dist_param = 0.9;
   spec.workload.key_range = 1 << 12;
   if (args.ops_per_thread == 0) spec.ops_per_thread = 1500;
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   const std::size_t kPairedCount = specs.size();
   {
     auto hostile = spec;
-    hostile.tree = driver::TreeKind::kThreePathBPTree;
+    hostile.tree = "3path-bptree";
     hostile.machine.htm.mutual_abort_pct = 100;
     hostile.machine.fault.bursts = {{10000, 8000, 100}, {40000, 8000, 100}};
     specs.push_back(with_policy(hostile, hardened));

@@ -5,9 +5,9 @@
 //   (c) the adaptive detector's window and trigger threshold.
 #include <memory>
 
-#include "core/euno_tree.hpp"
 #include "ctx/sim_ctx.hpp"
 #include "fig_common.hpp"
+#include "trees/trees.hpp"
 
 using namespace euno;
 
@@ -16,7 +16,7 @@ namespace {
 template <int S>
 driver::ExperimentResult run_euno(const driver::ExperimentSpec& spec,
                                   const core::EunoConfig& cfg) {
-  using Tree = core::EunoBPTree<ctx::SimCtx, 16, S>;
+  using Tree = trees::EunoBPTree<ctx::SimCtx, 16, S>;
   return driver::run_sim_experiment(spec, [&cfg](ctx::SimCtx& c) {
     return std::make_unique<trees::AnyTreeOf<ctx::SimCtx, Tree>>(
         c, [&cfg](ctx::SimCtx& s) { return Tree(s, cfg); });
@@ -40,7 +40,7 @@ driver::ExperimentResult run_for_segments(int s,
 int main(int argc, char** argv) {
   const auto args = stats::BenchArgs::parse(argc, argv);
   bench::restrict_tree_selection(
-      args, {driver::TreeKind::kEuno},
+      args, {"euno"},
       "this bench ablates Euno-B+Tree internals (S, scheduler, adaptive)");
   auto spec = bench::figure_spec(args);
   if (args.ops_per_thread == 0) spec.ops_per_thread = 1500;

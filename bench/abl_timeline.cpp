@@ -6,10 +6,9 @@
 // holding the abort rate flat.
 #include <memory>
 
-#include "core/euno_tree.hpp"
 #include "ctx/sim_ctx.hpp"
 #include "fig_common.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
+#include "trees/trees.hpp"
 
 using namespace euno;
 
@@ -72,9 +71,9 @@ int main(int argc, char** argv) {
       [](ctx::SimCtx& c) { return trees::HtmBPTree<ctx::SimCtx>(c); },
       n_buckets);
   const auto cfg = core::EunoConfig::full();
-  const auto euno = run_traced<core::EunoBPTree<ctx::SimCtx>>(
+  const auto euno = run_traced<trees::EunoBPTree<ctx::SimCtx>>(
       spec,
-      [&](ctx::SimCtx& c) { return core::EunoBPTree<ctx::SimCtx>(c, cfg); },
+      [&](ctx::SimCtx& c) { return trees::EunoBPTree<ctx::SimCtx>(c, cfg); },
       n_buckets);
 
   stats::Table table({"window", "base_aborts", "base_fallbacks", "euno_aborts",

@@ -14,7 +14,7 @@ using namespace euno;
 int main(int argc, char** argv) {
   const auto args = stats::BenchArgs::parse(argc, argv);
   auto spec = bench::figure_spec(args);
-  spec.tree = bench::selected_tree_kind(args, driver::TreeKind::kHtmBPTree);
+  spec.tree = bench::selected_tree_or(args, "htm-bptree");
   bench::print_header("Figure 2", "HTM abort decomposition vs. contention", spec);
 
   const auto thetas = bench::theta_sweep(args.quick);

@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
   std::vector<driver::ExperimentSpec> specs;
   for (double theta : bench::theta_sweep(args.quick)) {
     spec.workload.dist_param = theta;
-    for (auto kind : bench::figure_tree_kinds(args)) {
-      spec.tree = kind;
+    for (const auto& slug : bench::figure_trees(args)) {
+      spec.tree = slug;
       specs.push_back(spec);
     }
   }
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& r = results[i];
     table.add_row({stats::Table::num(specs[i].workload.dist_param),
-                   driver::tree_kind_name(specs[i].tree),
+                   driver::tree_display_name(specs[i].tree),
                    stats::Table::num(r.throughput_mops),
                    stats::Table::num(r.aborts_per_op),
                    stats::Table::num(r.instructions_per_op, 0),

@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
   std::vector<driver::ExperimentSpec> specs;
   for (double theta : thetas) {
     spec.workload.dist_param = theta;
-    for (auto kind : bench::selected_tree_kinds(
-             args, {driver::TreeKind::kHtmBPTree, driver::TreeKind::kEuno})) {
-      spec.tree = kind;
+    for (const auto& slug : bench::selected_trees(
+             args, {"htm-bptree", "euno"})) {
+      spec.tree = slug;
       specs.push_back(spec);
     }
   }
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     const auto& r = results[i];
     const double ops = static_cast<double>(r.ops);
     table.add_row({stats::Table::num(specs[i].workload.dist_param),
-                   driver::tree_kind_name(specs[i].tree),
+                   driver::tree_display_name(specs[i].tree),
                    stats::Table::num(r.aborts_per_op, 3),
                    stats::Table::num(r.conflicts_true_same_record / ops, 3),
                    stats::Table::num(r.conflicts_false_record / ops, 3),

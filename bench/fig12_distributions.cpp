@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
     spec.workload.dist_param = panel.param;
     for (int threads : bench::thread_sweep(args.quick)) {
       spec.threads = threads;
-      for (auto kind : bench::figure_tree_kinds(args)) {
-        spec.tree = kind;
+      for (const auto& slug : bench::figure_trees(args)) {
+        spec.tree = slug;
         specs.push_back(spec);
         panels.push_back(panel.panel);
       }
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     const auto& r = results[i];
     table.add_row({panels[i],
                    stats::Table::num(static_cast<std::uint64_t>(specs[i].threads)),
-                   driver::tree_kind_name(specs[i].tree),
+                   driver::tree_display_name(specs[i].tree),
                    stats::Table::num(r.throughput_mops),
                    stats::Table::num(r.aborts_per_op),
                    stats::Table::num(r.lat_p50, 0),

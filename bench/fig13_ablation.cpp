@@ -20,20 +20,16 @@ int main(int argc, char** argv) {
   spec.threads = 20;
   bench::print_header("Figure 13", "design-choice ablation at 20 threads", spec);
 
-  static constexpr driver::TreeKind kLadder[] = {
-      driver::TreeKind::kHtmBPTree,    driver::TreeKind::kEunoSplit,
-      driver::TreeKind::kEunoPart,     driver::TreeKind::kEunoLockbits,
-      driver::TreeKind::kEunoMarkbits, driver::TreeKind::kEunoAdaptive,
-  };
-
-  const std::vector<driver::TreeKind> ladder = bench::selected_tree_kinds(
-      args, std::vector<driver::TreeKind>(std::begin(kLadder), std::end(kLadder)));
+  // The monolithic baseline, then each cumulative rung.
+  const std::vector<std::string> ladder = bench::selected_trees(
+      args, {"htm-bptree", "euno-split", "euno-part", "euno-lockbits",
+             "euno-markbits", "euno-adaptive"});
 
   std::vector<driver::ExperimentSpec> specs;
   for (double theta : {0.9, 0.2}) {
     spec.workload.dist_param = theta;
-    for (auto kind : ladder) {
-      spec.tree = kind;
+    for (const auto& slug : ladder) {
+      spec.tree = slug;
       specs.push_back(spec);
     }
   }
@@ -43,14 +39,13 @@ int main(int argc, char** argv) {
                       "aborts_per_op", "wasted_pct", "p50_cyc", "p99_cyc"});
   double baseline = 0;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto kind = specs[i].tree;
+    const std::string& slug = specs[i].tree;
     const auto& r = results[i];
     // Each theta group leads with the monolithic baseline rung.
-    if (kind == driver::TreeKind::kHtmBPTree) baseline = r.throughput_mops;
+    if (slug == "htm-bptree") baseline = r.throughput_mops;
     table.add_row({specs[i].workload.dist_param > 0.5 ? "high (0.9)" : "low (0.2)",
-                   kind == driver::TreeKind::kHtmBPTree
-                       ? "Baseline"
-                       : driver::tree_kind_name(kind),
+                   slug == "htm-bptree" ? "Baseline"
+                                        : driver::tree_display_name(slug),
                    stats::Table::num(r.throughput_mops),
                    baseline > 0
                        ? stats::Table::num(r.throughput_mops / baseline, 2) + "x"

@@ -73,7 +73,7 @@ inline driver::ExperimentSpec figure_spec(const stats::BenchArgs& args) {
 inline std::string point_label(const driver::ExperimentSpec& s) {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "%s %dt %s=%.2f",
-                driver::tree_kind_name(s.tree).c_str(), s.threads,
+                driver::tree_display_name(s.tree).c_str(), s.threads,
                 workload::dist_kind_name(s.workload.dist).c_str(),
                 s.workload.dist_param);
   return buf;
@@ -162,20 +162,20 @@ inline const trees::TreeEntry* selected_tree(const stats::BenchArgs& args) {
   return e;
 }
 
-/// The kinds a sweep should run: the single `--tree=` selection when given,
-/// otherwise the bench's default list.
-inline std::vector<driver::TreeKind> selected_tree_kinds(
-    const stats::BenchArgs& args, std::vector<driver::TreeKind> defaults) {
+/// The trees a sweep should run: the single `--tree=` selection when given,
+/// otherwise the bench's default slugs.
+inline std::vector<std::string> selected_trees(
+    const stats::BenchArgs& args, std::vector<std::string> defaults) {
   const trees::TreeEntry* e = selected_tree(args);
-  if (e != nullptr) return {e->kind};
+  if (e != nullptr) return {e->name};
   return defaults;
 }
 
 /// Single-tree benches: the `--tree=` selection when given, else the default.
-inline driver::TreeKind selected_tree_kind(const stats::BenchArgs& args,
-                                           driver::TreeKind default_kind) {
+inline std::string selected_tree_or(const stats::BenchArgs& args,
+                                    const std::string& default_slug) {
   const trees::TreeEntry* e = selected_tree(args);
-  return e != nullptr ? e->kind : default_kind;
+  return e != nullptr ? e->name : default_slug;
 }
 
 /// Benches that ablate one structure's internals accept `--tree=` only as a
@@ -183,12 +183,12 @@ inline driver::TreeKind selected_tree_kind(const stats::BenchArgs& args,
 /// selected_tree), and known-but-unsupported selections exit 2 with the
 /// bench's reason. Returns the selection (nullptr when the flag was absent).
 inline const trees::TreeEntry* restrict_tree_selection(
-    const stats::BenchArgs& args,
-    std::initializer_list<driver::TreeKind> supported, const char* why) {
+    const stats::BenchArgs& args, std::initializer_list<const char*> supported,
+    const char* why) {
   const trees::TreeEntry* e = selected_tree(args);
   if (e == nullptr) return nullptr;
-  for (driver::TreeKind k : supported) {
-    if (k == e->kind) return e;
+  for (const char* slug : supported) {
+    if (e->name == slug) return e;
   }
   std::fprintf(stderr, "--tree=%s is not supported by this bench: %s\n",
                e->name.c_str(), why);
@@ -197,18 +197,17 @@ inline const trees::TreeEntry* restrict_tree_selection(
 
 /// The default figure sweep rows, registry-driven: every tree registered
 /// with caps.figure_default, in registration order.
-inline std::vector<driver::TreeKind> figure_tree_kinds() {
-  std::vector<driver::TreeKind> kinds;
+inline std::vector<std::string> figure_trees() {
+  std::vector<std::string> slugs;
   for (const auto& e : trees::tree_registry().entries()) {
-    if (e.caps.figure_default) kinds.push_back(e.kind);
+    if (e.caps.figure_default) slugs.push_back(e.name);
   }
-  return kinds;
+  return slugs;
 }
 
-/// figure_tree_kinds with the uniform `--tree=` narrowing applied.
-inline std::vector<driver::TreeKind> figure_tree_kinds(
-    const stats::BenchArgs& args) {
-  return selected_tree_kinds(args, figure_tree_kinds());
+/// figure_trees with the uniform `--tree=` narrowing applied.
+inline std::vector<std::string> figure_trees(const stats::BenchArgs& args) {
+  return selected_trees(args, figure_trees());
 }
 
 inline std::vector<double> theta_sweep(bool quick) {

@@ -25,16 +25,16 @@ using namespace euno;
 namespace {
 
 struct Point {
-  driver::TreeKind tree{};
+  std::string tree;
   workload::KeyStyle style{};
 };
 
 /// Bytes-capable trees, registry-driven (caps.key_domain == kBytes), with
 /// the uniform `--tree=` narrowing applied on top.
-std::vector<driver::TreeKind> scan_tree_kinds(const stats::BenchArgs& args) {
-  std::vector<driver::TreeKind> kinds;
+std::vector<std::string> scan_trees(const stats::BenchArgs& args) {
+  std::vector<std::string> slugs;
   for (const auto& e : trees::tree_registry().entries()) {
-    if (e.caps.key_domain == trees::KeyDomain::kBytes) kinds.push_back(e.kind);
+    if (e.caps.key_domain == trees::KeyDomain::kBytes) slugs.push_back(e.name);
   }
   const trees::TreeEntry* sel = bench::selected_tree(args);
   if (sel != nullptr) {
@@ -45,9 +45,9 @@ std::vector<driver::TreeKind> scan_tree_kinds(const stats::BenchArgs& args) {
                    sel->name.c_str());
       std::exit(2);
     }
-    return {sel->kind};
+    return {sel->name};
   }
-  return kinds;
+  return slugs;
 }
 
 }  // namespace
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
       args.ops_per_thread ? args.ops_per_thread : (args.quick ? 400 : 2000);
   base.threads = args.quick ? 8 : 16;
 
-  const std::vector<driver::TreeKind> kinds = scan_tree_kinds(args);
+  const std::vector<std::string> slugs = scan_trees(args);
   const std::vector<workload::KeyStyle> styles =
       bytes ? std::vector<workload::KeyStyle>{workload::KeyStyle::kUrl,
                                               workload::KeyStyle::kUuid}
@@ -76,12 +76,12 @@ int main(int argc, char** argv) {
 
   std::vector<Point> points;
   std::vector<driver::ExperimentSpec> specs;
-  for (const auto k : kinds) {
+  for (const auto& slug : slugs) {
     for (const auto st : styles) {
       driver::ExperimentSpec s = base;
-      s.tree = k;
+      s.tree = slug;
       s.workload.key_style = st;
-      points.push_back(Point{k, st});
+      points.push_back(Point{slug, st});
       specs.push_back(s);
     }
   }
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& r = results[i];
     table.add_row(
-        {driver::tree_kind_name(points[i].tree),
+        {driver::tree_display_name(points[i].tree),
          bytes ? workload::key_style_name(points[i].style) : "u64-codec",
          stats::Table::num(r.throughput_mops), stats::Table::num(r.aborts_per_op),
          stats::Table::num(r.fallbacks), stats::Table::num(r.suffix_bytes / 1024),
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
       base.ops_per_thread * static_cast<std::uint64_t>(base.threads);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& r = results[i];
-    const std::string label = driver::tree_kind_name(points[i].tree);
+    const std::string label = driver::tree_display_name(points[i].tree);
     if (r.ops != want_ops) {
       std::fprintf(stderr, "fig_scan: %s completed %llu ops, expected %llu\n",
                    label.c_str(), static_cast<unsigned long long>(r.ops),

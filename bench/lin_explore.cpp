@@ -1,6 +1,6 @@
 // Schedule-exploration driver for the linearizability harness (src/check).
 //
-// Sweeps tree kinds under random-preemption schedules (optionally with
+// Sweeps registered trees under random-preemption schedules (optionally with
 // tx-begin preemption and abort-storm injection) or walks the bounded
 // systematic schedule tree, checking every recorded history. Violations
 // print a minimal counterexample plus a --replay spec string that reproduces
@@ -8,8 +8,8 @@
 // nonzero when any violation was found, so the binary doubles as a CI gate.
 //
 //   lin_explore --trees=all --mode=rand --seeds=16 --jobs=auto
-//   lin_explore --mode=sys --trees=EunoS2 --threads=2 --ops=3 --budget=1
-//   lin_explore --replay='kind=EunoS4;pattern=splitrace;...;sched=rand,seed=9'
+//   lin_explore --mode=sys --trees=euno-s2-markbits --threads=2 --ops=3
+//   lin_explore --replay='kind=euno-markbits;pattern=splitrace;...;sched=rand,seed=9'
 //   lin_explore --history=hist.json   # dump euno.history.v1 for validation
 #include <cstdio>
 #include <cstring>
@@ -17,23 +17,25 @@
 #include <string>
 #include <vector>
 
+#include "check/euno_variants.hpp"
 #include "check/explore.hpp"
 #include "check/harness.hpp"
 #include "driver/parallel.hpp"
 #include "stats/report.hpp"
+#include "trees/registry.hpp"
 
 namespace {
 
 using euno::check::ExploreOptions;
-using euno::check::LinKind;
 using euno::check::LinPattern;
 using euno::check::LinRun;
 using euno::check::LinSpec;
+using euno::check::parse_lin_u64;
 using euno::check::ScheduleExplorer;
 using euno::sim::SchedulePolicy;
 
 struct Options {
-  std::vector<LinKind> trees{LinKind::kEunoS4};
+  std::vector<std::string> trees{"euno-markbits"};
   LinPattern pattern = LinPattern::kUniformMix;
   SchedulePolicy::Mode mode = SchedulePolicy::Mode::kRandom;
   std::uint64_t seeds = 8;
@@ -48,7 +50,6 @@ struct Options {
   std::uint64_t wseed = 1;
   std::uint32_t budget = 1;         // sys: max preemptions
   std::uint64_t max_schedules = 64; // sys: schedule cap
-  bool adaptive = false;
   int jobs = 1;
   bool csv = false;
   std::string history_path;
@@ -58,21 +59,14 @@ struct Options {
 [[noreturn]] void usage_and_exit(const char* bad) {
   if (bad != nullptr) std::fprintf(stderr, "lin_explore: bad argument '%s'\n", bad);
   std::fprintf(stderr,
-               "usage: lin_explore [--trees=all|K1,K2,..] [--pattern=mix|splitrace]\n"
+               "usage: lin_explore [--trees=all|SLUG,..] [--pattern=mix|splitrace]\n"
                "                   [--mode=rand|sys|det] [--seeds=N] [--seed0=S]\n"
                "                   [--preempt=P] [--txpreempt] [--storm=P]\n"
                "                   [--threads=N] [--ops=N] [--keys=N] [--preload=N]\n"
-               "                   [--wseed=S] [--adaptive] [--budget=N]\n"
+               "                   [--wseed=S] [--budget=N]\n"
                "                   [--max-schedules=N] [--jobs=N|auto] [--csv]\n"
                "                   [--history=FILE] [--replay=SPEC]\n");
   std::exit(2);
-}
-
-bool parse_u64_flag(const std::string& v, std::uint64_t* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(v.c_str(), &end, 10);
-  return end == v.c_str() + v.size();
 }
 
 Options parse(int argc, char** argv) {
@@ -86,15 +80,17 @@ Options parse(int argc, char** argv) {
     if (key == "--trees") {
       o.trees.clear();
       if (val == "all") {
-        for (LinKind k : euno::check::kAllLinKinds) o.trees.push_back(k);
+        for (const auto& e : euno::trees::tree_registry().entries())
+          o.trees.push_back(e.name);
       } else {
         std::size_t pos = 0;
         while (pos <= val.size()) {
           std::size_t comma = val.find(',', pos);
           if (comma == std::string::npos) comma = val.size();
-          const auto k = euno::check::lin_kind_parse(val.substr(pos, comma - pos));
-          if (!k) usage_and_exit(argv[i]);
-          o.trees.push_back(*k);
+          std::string slug = val.substr(pos, comma - pos);
+          if (euno::trees::tree_registry().by_name(slug) == nullptr)
+            usage_and_exit(argv[i]);
+          o.trees.push_back(std::move(slug));
           pos = comma + 1;
           if (pos > val.size()) break;
         }
@@ -109,36 +105,36 @@ Options parse(int argc, char** argv) {
       else if (val == "sys") o.mode = SchedulePolicy::Mode::kSystematic;
       else if (val == "det") o.mode = SchedulePolicy::Mode::kDeterministic;
       else usage_and_exit(argv[i]);
-    } else if (key == "--seeds" && parse_u64_flag(val, &n)) {
+    } else if (key == "--seeds" && parse_lin_u64(val, &n)) {
       o.seeds = n;
-    } else if (key == "--seed0" && parse_u64_flag(val, &n)) {
+    } else if (key == "--seed0" && parse_lin_u64(val, &n)) {
       o.seed0 = n;
-    } else if (key == "--preempt" && parse_u64_flag(val, &n) && n <= 100) {
+    } else if (key == "--preempt" && parse_lin_u64(val, &n) && n <= 100) {
       o.preempt = static_cast<std::uint32_t>(n);
     } else if (key == "--txpreempt" && eq == std::string::npos) {
       o.txpreempt = true;
-    } else if (key == "--storm" && parse_u64_flag(val, &n) && n <= 100) {
+    } else if (key == "--storm" && parse_lin_u64(val, &n) && n <= 100) {
       o.storm = static_cast<std::uint32_t>(n);
-    } else if (key == "--threads" && parse_u64_flag(val, &n) && n >= 1 && n <= 32) {
+    } else if (key == "--threads" && parse_lin_u64(val, &n) && n >= 1 &&
+               n <= static_cast<std::uint64_t>(
+                        euno::sim::MachineConfig::kMaxCores)) {
       o.threads = static_cast<int>(n);
-    } else if (key == "--ops" && parse_u64_flag(val, &n)) {
+    } else if (key == "--ops" && parse_lin_u64(val, &n)) {
       o.ops = static_cast<int>(n);
-    } else if (key == "--keys" && parse_u64_flag(val, &n) && n >= 1) {
+    } else if (key == "--keys" && parse_lin_u64(val, &n) && n >= 1) {
       o.keys = n;
-    } else if (key == "--preload" && parse_u64_flag(val, &n)) {
+    } else if (key == "--preload" && parse_lin_u64(val, &n)) {
       o.preload = n;
-    } else if (key == "--wseed" && parse_u64_flag(val, &n)) {
+    } else if (key == "--wseed" && parse_lin_u64(val, &n)) {
       o.wseed = n;
-    } else if (key == "--adaptive" && eq == std::string::npos) {
-      o.adaptive = true;
-    } else if (key == "--budget" && parse_u64_flag(val, &n)) {
+    } else if (key == "--budget" && parse_lin_u64(val, &n)) {
       o.budget = static_cast<std::uint32_t>(n);
-    } else if (key == "--max-schedules" && parse_u64_flag(val, &n)) {
+    } else if (key == "--max-schedules" && parse_lin_u64(val, &n)) {
       o.max_schedules = n;
     } else if (key == "--jobs") {
       if (val == "auto") {
         o.jobs = euno::driver::default_jobs();
-      } else if (parse_u64_flag(val, &n) && n >= 1) {
+      } else if (parse_lin_u64(val, &n) && n >= 1) {
         o.jobs = static_cast<int>(n);
       } else {
         usage_and_exit(argv[i]);
@@ -156,10 +152,9 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-LinSpec base_spec(const Options& o, LinKind kind) {
+LinSpec base_spec(const Options& o, const std::string& kind) {
   LinSpec s;
   s.kind = kind;
-  s.adaptive = o.adaptive;
   s.pattern = o.pattern;
   s.threads = o.threads;
   s.ops_per_thread = o.ops;
@@ -226,7 +221,7 @@ int main(int argc, char** argv) {
   std::optional<std::pair<LinSpec, LinRun>> to_dump;  // first run (or first bad)
 
   if (o.mode == SchedulePolicy::Mode::kSystematic) {
-    // One bounded DFS per tree kind; kinds fan out across jobs.
+    // One bounded DFS per tree; trees fan out across jobs.
     struct KindResult {
       std::uint64_t runs = 0, states = 0, ops = 0, keys = 0, segs = 0;
       std::vector<std::pair<LinSpec, LinRun>> bad;
@@ -257,7 +252,7 @@ int main(int argc, char** argv) {
     for (std::size_t ti = 0; ti < o.trees.size(); ++ti) {
       auto& r = results[ti];
       LinSpec spec = base_spec(o, o.trees[ti]);
-      table.add_row({euno::check::lin_kind_name(o.trees[ti]),
+      table.add_row({o.trees[ti],
                      spec.sched.to_string(), euno::stats::Table::num(r.runs),
                      euno::stats::Table::num(r.ops),
                      euno::stats::Table::num(r.keys),
@@ -276,7 +271,7 @@ int main(int argc, char** argv) {
   } else {
     // det: one schedule per tree. rand: `seeds` schedules per tree.
     std::vector<LinSpec> specs;
-    for (LinKind k : o.trees) {
+    for (const auto& k : o.trees) {
       if (o.mode == SchedulePolicy::Mode::kDeterministic) {
         specs.push_back(base_spec(o, k));
         continue;
@@ -291,9 +286,9 @@ int main(int argc, char** argv) {
     euno::driver::parallel_for_each(specs.size(), o.jobs, [&](std::size_t i) {
       runs[i] = euno::check::run_lin(specs[i]);
     });
-    // Aggregate per tree kind for the table; report violations per run.
+    // Aggregate per tree for the table; report violations per run.
     std::size_t i = 0;
-    for (LinKind k : o.trees) {
+    for (const auto& k : o.trees) {
       const std::size_t per =
           o.mode == SchedulePolicy::Mode::kDeterministic ? 1 : o.seeds;
       std::uint64_t ops = 0, keys = 0, segs = 0, states = 0, bad = 0;
@@ -313,7 +308,7 @@ int main(int argc, char** argv) {
         }
       }
       LinSpec spec = base_spec(o, k);
-      table.add_row({euno::check::lin_kind_name(k), spec.sched.to_string(),
+      table.add_row({k, spec.sched.to_string(),
                      euno::stats::Table::num(static_cast<std::uint64_t>(per)),
                      euno::stats::Table::num(ops), euno::stats::Table::num(keys),
                      euno::stats::Table::num(segs),

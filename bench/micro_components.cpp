@@ -7,12 +7,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/euno_tree.hpp"
 #include "ctx/native_ctx.hpp"
 #include "ctx/sim_ctx.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
 #include "trees/node/simd_search.hpp"
-#include "trees/olc/olc_bptree.hpp"
+#include "trees/trees.hpp"
 #include "workload/distributions.hpp"
 
 namespace euno {
@@ -75,7 +73,7 @@ BENCHMARK(BM_NativeGet_Olc);
 void BM_NativeGet_Euno(benchmark::State& state) {
   ctx::NativeEnv env;
   ctx::NativeCtx c(env, 0);
-  core::EunoBPTree<ctx::NativeCtx> tree(c, core::EunoConfig::full());
+  trees::EunoBPTree<ctx::NativeCtx> tree(c, core::EunoConfig::full());
   for (trees::Key k = 0; k < 100000; ++k) tree.put(c, k, k);
   Xoshiro256 rng(7);
   trees::Value v;
@@ -89,7 +87,7 @@ BENCHMARK(BM_NativeGet_Euno);
 void BM_NativePut_Euno(benchmark::State& state) {
   ctx::NativeEnv env;
   ctx::NativeCtx c(env, 0);
-  core::EunoBPTree<ctx::NativeCtx> tree(c, core::EunoConfig::full());
+  trees::EunoBPTree<ctx::NativeCtx> tree(c, core::EunoConfig::full());
   Xoshiro256 rng(9);
   for (auto _ : state) {
     tree.put(c, rng.next_bounded(1 << 20), 1);

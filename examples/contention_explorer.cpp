@@ -13,7 +13,6 @@
 
 using namespace euno;
 using driver::ExperimentSpec;
-using driver::TreeKind;
 
 int main(int argc, char** argv) {
   const int threads = argc > 1 ? std::atoi(argv[1]) : 16;
@@ -28,10 +27,9 @@ int main(int argc, char** argv) {
               "aborts/op", "upper", "lower", "mono");
 
   for (double theta : {0.2, 0.5, 0.7, 0.9, 0.99}) {
-    for (TreeKind kind : {TreeKind::kHtmBPTree, TreeKind::kMasstree,
-                          TreeKind::kHtmMasstree, TreeKind::kEuno}) {
+    for (const char* slug : {"htm-bptree", "masstree", "htm-masstree", "euno"}) {
       ExperimentSpec spec;
-      spec.tree = kind;
+      spec.tree = slug;
       spec.threads = threads;
       spec.workload.key_range = keys;
       spec.workload.dist_param = theta;
@@ -41,7 +39,7 @@ int main(int argc, char** argv) {
       spec.ops_per_thread = ops;
       const auto r = run_sim_experiment(spec);
       std::printf("%5.2f  %-13s %9.2fM %9.3f %7llu %7llu %7llu\n", theta,
-                  driver::tree_kind_name(kind).c_str(), r.throughput_mops,
+                  driver::tree_display_name(slug).c_str(), r.throughput_mops,
                   r.aborts_per_op, static_cast<unsigned long long>(r.upper_aborts),
                   static_cast<unsigned long long>(r.lower_aborts),
                   static_cast<unsigned long long>(r.mono_aborts));

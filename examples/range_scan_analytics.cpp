@@ -11,8 +11,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/euno_tree.hpp"
 #include "ctx/native_ctx.hpp"
+#include "trees/trees.hpp"
 
 using namespace euno;
 
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   ctx::NativeEnv env;
   ctx::NativeCtx setup(env, 0);
-  core::EunoBPTree<ctx::NativeCtx> tree(setup, core::EunoConfig::full());
+  trees::EunoBPTree<ctx::NativeCtx> tree(setup, core::EunoConfig::full());
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> scans{0}, scanned_rows{0};

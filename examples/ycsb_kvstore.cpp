@@ -15,7 +15,6 @@
 
 using namespace euno;
 using driver::ExperimentSpec;
-using driver::TreeKind;
 
 int main(int argc, char** argv) {
   ExperimentSpec spec;
@@ -30,11 +29,11 @@ int main(int argc, char** argv) {
   std::printf("YCSB key-value store: %d threads, %s\n\n", spec.threads,
               spec.workload.describe().c_str());
 
-  for (TreeKind kind : {TreeKind::kHtmBPTree, TreeKind::kEuno}) {
-    spec.tree = kind;
+  for (const char* slug : {"htm-bptree", "euno"}) {
+    spec.tree = slug;
     const auto r = run_native_experiment(spec);
     std::printf("%-12s  %8.2f M ops/s  (wall clock)\n",
-                driver::tree_kind_name(kind).c_str(), r.throughput_mops);
+                driver::tree_display_name(slug).c_str(), r.throughput_mops);
     std::printf("              attempts %llu, commits %llu, aborts/op %.3f, "
                 "fallbacks %llu\n\n",
                 static_cast<unsigned long long>(r.attempts),

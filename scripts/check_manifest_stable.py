@@ -5,7 +5,7 @@ Usage: check_manifest_stable.py [--ignore-obs-config] PRODUCED GOLDEN
 
 Compares a freshly produced euno.run_manifest.v1 file against a checked-in
 golden byte-for-byte. The simulator is deterministic and the manifest writer
-emits a canonical layout, so ANY byte difference means a tree kind's
+emits a canonical layout, so ANY byte difference means a tree's
 simulated behaviour (or the manifest schema) changed — exactly what the
 layering refactor must not do. On mismatch, prints the first differing JSON
 path to make the drift attributable, then fails.

@@ -6,11 +6,15 @@
 #   scripts/ci.sh asan      # AddressSanitizer build, fault-campaign suites
 #   scripts/ci.sh ubsan     # UBSan-only build, conformance + fault suites
 #
-# The default job re-runs the `obs-native` label explicitly (the native
-# telemetry round-trip: a native bench run with --trace/--metrics-interval/
-# --perf, validated by check_trace.py --expect-lanes=thread) and then renders
-# the generated manifest with scripts/report.py, which exits nonzero on any
-# manifest schema violation.
+# The default job re-runs the `golden` label explicitly: the fig08,
+# abl_fallback, fig_latency_load, fig_scan and fig13 ablation-ladder
+# manifests must stay byte-identical, which is the equivalence oracle for
+# refactors that change code but not behaviour. It also re-runs the
+# `obs-native` label explicitly (the native telemetry round-trip: a native
+# bench run with --trace/--metrics-interval/--perf, validated by
+# check_trace.py --expect-lanes=thread) and then renders the generated
+# manifest with scripts/report.py, which exits nonzero on any manifest
+# schema violation.
 #
 # The default job finishes with the self-perf regression gate: it runs
 # bench/sim_selfperf --quick (which emits the BENCH_sim_selfperf.json
@@ -55,6 +59,11 @@
 # `sim-engine` label (the scheduler reference-model test). UBSan is the one
 # sanitizer build that keeps the engine's hand-written x86-64 stack switch;
 # ASan and TSan builds switch fibers with swapcontext instead.
+# The lin checker builds trees only through the registry, so
+# lin_mutation_test compiles builtin_trees.cpp, registry.cpp and
+# simd_search.cpp itself under the mutation defines instead of linking
+# euno_trees: every slug it resolves is a mutated instantiation, and the
+# binary holds no healthy copy of the same templates.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -65,6 +74,9 @@ case "$job" in
     cmake -B build -S .
     cmake --build build -j
     ctest --test-dir build --output-on-failure -j "$(nproc)"
+    # Golden manifests, re-run by label: byte-identical results are the
+    # oracle for behaviour-preserving refactors.
+    ctest --test-dir build --output-on-failure -L golden
     ctest --test-dir build --output-on-failure -L obs-native
     # Store robustness battery (admission, deadlines, per-shard epoch
     # domains, open-loop determinism) — part of the full run above, re-run

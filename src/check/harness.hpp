@@ -1,12 +1,13 @@
-// Linearizability-test harness: run a workload on any tree kind under a
-// schedule policy, record the operation history, check it.
+// Linearizability-test harness: run a workload on any registered tree under
+// a schedule policy, record the operation history, check it. Trees are
+// selected by registry slug and built through the entry's sim factory.
 //
-// Header-only on purpose: the trees are class templates, and the mutation
-// self-test (tests/lin_mutation_test.cpp) compiles this header with
-// EUNO_LIN_MUTATION_SKIP_SEQ_RECHECK defined to get a deliberately broken
-// EunoBPTree instantiation in its own translation unit. The euno_check
-// library itself compiles no tree code, so a binary never mixes healthy and
-// mutated instantiations (ODR).
+// The euno_check library compiles no tree code, and this header only reaches
+// trees through the registry. The mutation self-test
+// (tests/lin_mutation_test.cpp) compiles the registry sources itself with
+// the EUNO_LIN_MUTATION_* defines and does not link euno_trees, so its binary
+// holds only the deliberately broken instantiations (no ODR mix of healthy
+// and mutated trees).
 //
 // A LinSpec is fully replayable: to_string()/parse() round-trip every knob
 // including the schedule policy, so a failing run is reproduced with
@@ -15,9 +16,8 @@
 #pragma once
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,76 +25,14 @@
 
 #include "check/history.hpp"
 #include "check/linearize.hpp"
-#include "core/euno_tree.hpp"
 #include "ctx/sim_ctx.hpp"
 #include "sim/engine.hpp"
 #include "sim/schedule.hpp"
-#include "trees/algo/euno_skiplist.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
-#include "trees/lockbtree/lock_bptree.hpp"
-#include "trees/olc/olc_bptree.hpp"
-#include "trees/rcubtree/rcu_bptree.hpp"
-#include "trees/strbtree/str_bptree.hpp"
-#include "trees/threepath/three_path_bptree.hpp"
+#include "trees/registry.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace euno::check {
-
-enum class LinKind {
-  kBaseline,     // HtmBPTree: monolithic HTM B+Tree
-  kOlc,          // OlcBPTree: optimistic lock coupling
-  kHtmMasstree,  // OlcBPTree with HTM elision
-  kEunoS1,
-  kEunoS2,
-  kEunoS4,
-  kEunoS8,
-  kEunoSkipList,  // EunoSkipList: partitioned towers over EunoHtmPolicy
-  kLockCoupling,  // LockBPTree: pessimistic hand-over-hand latching
-  kRcuBptree,     // RcuBPTree: copy-on-write splices via RcuHtmPolicy
-  kThreePath,     // ThreePathBPTree: fast/middle/slow (Brown's template)
-  // Bytes-domain trees, checked through the order-preserving u64 key codec
-  // (every encoded key shares its leading 4 bytes, so the checker's dense
-  // key ranges hammer the out-of-line suffix tie-break and box swaps under
-  // adversarial schedules — the paths the prefix slice would shortcut).
-  kStrHtm,       // StrHtmBPTree: monolithic HTM over BytesKeyTraits
-  kStrMasstree,  // StrMasstree: OLC over BytesKeyTraits
-  kStrLock,      // StrLockBPTree: lock coupling over BytesKeyTraits
-};
-
-inline constexpr LinKind kAllLinKinds[] = {
-    LinKind::kBaseline,     LinKind::kOlc,    LinKind::kHtmMasstree,
-    LinKind::kEunoS1,       LinKind::kEunoS2, LinKind::kEunoS4,
-    LinKind::kEunoS8,       LinKind::kEunoSkipList,
-    LinKind::kLockCoupling, LinKind::kRcuBptree,
-    LinKind::kThreePath,    LinKind::kStrHtm, LinKind::kStrMasstree,
-    LinKind::kStrLock,
-};
-
-inline const char* lin_kind_name(LinKind k) {
-  switch (k) {
-    case LinKind::kBaseline: return "Baseline";
-    case LinKind::kOlc: return "Olc";
-    case LinKind::kHtmMasstree: return "HtmMasstree";
-    case LinKind::kEunoS1: return "EunoS1";
-    case LinKind::kEunoS2: return "EunoS2";
-    case LinKind::kEunoS4: return "EunoS4";
-    case LinKind::kEunoS8: return "EunoS8";
-    case LinKind::kEunoSkipList: return "EunoSkipList";
-    case LinKind::kLockCoupling: return "LockCoupling";
-    case LinKind::kRcuBptree: return "RcuBptree";
-    case LinKind::kThreePath: return "ThreePath";
-    case LinKind::kStrHtm: return "StrHtm";
-    case LinKind::kStrMasstree: return "StrMasstree";
-    case LinKind::kStrLock: return "StrLock";
-  }
-  return "?";
-}
-
-inline std::optional<LinKind> lin_kind_parse(const std::string& s) {
-  for (LinKind k : kAllLinKinds)
-    if (s == lin_kind_name(k)) return k;
-  return std::nullopt;
-}
 
 enum class LinPattern {
   /// Uniform random put/get/erase/scan over a small hot key range.
@@ -110,10 +48,19 @@ inline const char* lin_pattern_name(LinPattern p) {
   return p == LinPattern::kUniformMix ? "mix" : "splitrace";
 }
 
+/// Strict decimal parse for spec fields: the whole token must be digits, so
+/// a mistyped replay string is rejected instead of running a different spec.
+inline bool parse_lin_u64(const std::string& s, std::uint64_t* out) {
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
+  char* end = nullptr;
+  *out = std::strtoull(s.c_str(), &end, 10);
+  return end == s.c_str() + s.size();
+}
+
 /// One linearizability run, fully specified and replayable.
 struct LinSpec {
-  LinKind kind = LinKind::kEunoS4;
-  bool adaptive = false;  // Euno kinds: full() config instead of with_markbits()
+  /// Registry slug of the tree under test.
+  std::string kind = "euno-markbits";
   /// Run under the hardened retry policy with a hair-trigger HTM-health
   /// monitor (any abort in a full window degrades the tree to lock-only), so
   /// the run exercises a mid-run degradation flip under the checker.
@@ -132,8 +79,7 @@ struct LinSpec {
   std::string to_string() const {
     std::string s;
     s += "kind=";
-    s += lin_kind_name(kind);
-    s += adaptive ? ";adaptive=1" : "";
+    s += kind;
     s += degrade ? ";degrade=1" : "";
     s += ";pattern=";
     s += lin_pattern_name(pattern);
@@ -163,30 +109,38 @@ struct LinSpec {
       if (eq == std::string::npos) return std::nullopt;
       const std::string key = tok.substr(0, eq);
       const std::string val = tok.substr(eq + 1);
+      std::uint64_t n = 0;
       if (key == "kind") {
-        auto k = lin_kind_parse(val);
-        if (!k) return std::nullopt;
-        spec.kind = *k;
-      } else if (key == "adaptive") {
-        spec.adaptive = val == "1";
+        if (trees::tree_registry().by_name(val) == nullptr) return std::nullopt;
+        spec.kind = val;
       } else if (key == "degrade") {
+        if (val != "0" && val != "1") return std::nullopt;
         spec.degrade = val == "1";
       } else if (key == "pattern") {
         if (val == "mix") spec.pattern = LinPattern::kUniformMix;
         else if (val == "splitrace") spec.pattern = LinPattern::kSplitRace;
         else return std::nullopt;
       } else if (key == "threads") {
-        spec.threads = std::atoi(val.c_str());
+        // One fiber per simulated core.
+        if (!parse_lin_u64(val, &n) || n < 1 ||
+            n > static_cast<std::uint64_t>(sim::MachineConfig::kMaxCores)) {
+          return std::nullopt;
+        }
+        spec.threads = static_cast<int>(n);
       } else if (key == "ops") {
-        spec.ops_per_thread = std::atoi(val.c_str());
+        if (!parse_lin_u64(val, &n) || n > INT_MAX) return std::nullopt;
+        spec.ops_per_thread = static_cast<int>(n);
       } else if (key == "keys") {
-        spec.key_range = std::strtoull(val.c_str(), nullptr, 10);
+        // kUniformMix draws keys from [0, keys): an empty range is no run.
+        if (!parse_lin_u64(val, &spec.key_range) || spec.key_range == 0) {
+          return std::nullopt;
+        }
       } else if (key == "preload") {
-        spec.preload = std::strtoull(val.c_str(), nullptr, 10);
+        if (!parse_lin_u64(val, &spec.preload)) return std::nullopt;
       } else if (key == "wseed") {
-        spec.workload_seed = std::strtoull(val.c_str(), nullptr, 10);
+        if (!parse_lin_u64(val, &spec.workload_seed)) return std::nullopt;
       } else if (key == "arena") {
-        spec.arena_bytes = std::strtoull(val.c_str(), nullptr, 10);
+        if (!parse_lin_u64(val, &spec.arena_bytes)) return std::nullopt;
       } else if (key == "sched") {
         auto p = sim::SchedulePolicy::parse(val);
         if (!p) return std::nullopt;
@@ -196,7 +150,6 @@ struct LinSpec {
       }
       if (pos > str.size()) break;
     }
-    if (spec.threads < 1 || spec.ops_per_thread < 0) return std::nullopt;
     return spec;
   }
 
@@ -221,165 +174,6 @@ struct LinSpec {
     return out;
   }
 };
-
-/// Type-erased tree driver over SimCtx (the harness is simulator-only: the
-/// schedule policies exist only there).
-struct AnyLinTree {
-  std::function<bool(ctx::SimCtx&, Key, Value*)> get;
-  std::function<void(ctx::SimCtx&, Key, Value)> put;
-  std::function<bool(ctx::SimCtx&, Key)> erase;
-  std::function<std::size_t(ctx::SimCtx&, Key, std::size_t, KV*)> scan;
-  std::function<void()> check;
-  std::function<void(ctx::SimCtx&)> destroy;
-};
-
-/// u64 key codec over a bytes-domain tree, mirroring the registry's codec
-/// (builtin_trees.cpp): 4-byte constant tag + big-endian key, so encoding
-/// preserves order and every key collides in the in-node prefix slice.
-/// Values round-trip through the box payload as well, so the checker also
-/// covers the value-indirection publish/retire path.
-template <class Tree>
-AnyLinTree wrap_lin_str_tree(std::shared_ptr<Tree> t) {
-  constexpr std::size_t kLen = 12;
-  const auto encode = [](Key k, char* buf) {
-    std::memcpy(buf, "u64:", 4);
-    for (int i = 0; i < 8; ++i) {
-      buf[4 + i] = static_cast<char>((k >> (56 - 8 * i)) & 0xff);
-    }
-  };
-  AnyLinTree a;
-  a.get = [t, encode](ctx::SimCtx& c, Key k, Value* v) {
-    char buf[kLen];
-    encode(k, buf);
-    return t->get(c, trees::node::BytesView{buf, kLen}, v);
-  };
-  a.put = [t, encode](ctx::SimCtx& c, Key k, Value v) {
-    char buf[kLen];
-    encode(k, buf);
-    char payload[8];
-    for (int i = 0; i < 8; ++i) {
-      payload[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-    t->put(c, trees::node::BytesView{buf, kLen}, v,
-           trees::node::BytesView{payload, 8});
-  };
-  a.erase = [t, encode](ctx::SimCtx& c, Key k) {
-    char buf[kLen];
-    encode(k, buf);
-    return t->erase(c, trees::node::BytesView{buf, kLen});
-  };
-  a.scan = [t, encode](ctx::SimCtx& c, Key start, std::size_t n, KV* out) {
-    char buf[kLen];
-    encode(start, buf);
-    std::size_t got = 0;
-    return t->scan(c, trees::node::BytesView{buf, kLen}, n,
-                   [&](trees::node::BytesView key, Value v,
-                       trees::node::BytesView) {
-                     Key k = 0;
-                     for (int i = 0; i < 8; ++i) {
-                       k = (k << 8) | static_cast<unsigned char>(key.data[4 + i]);
-                     }
-                     out[got++] = KV{k, v};
-                   });
-  };
-  a.check = [t] { t->check_invariants(); };
-  a.destroy = [t](ctx::SimCtx& c) { t->destroy(c); };
-  return a;
-}
-
-template <class Tree>
-AnyLinTree wrap_lin_tree(std::shared_ptr<Tree> t) {
-  AnyLinTree a;
-  a.get = [t](ctx::SimCtx& c, Key k, Value* v) { return t->get(c, k, v); };
-  a.put = [t](ctx::SimCtx& c, Key k, Value v) { t->put(c, k, v); };
-  a.erase = [t](ctx::SimCtx& c, Key k) { return t->erase(c, k); };
-  a.scan = [t](ctx::SimCtx& c, Key k, std::size_t n, KV* out) {
-    return t->scan(c, k, n, out);
-  };
-  a.check = [t] { t->check_invariants(); };
-  a.destroy = [t](ctx::SimCtx& c) { t->destroy(c); };
-  return a;
-}
-
-inline AnyLinTree make_lin_tree(ctx::SimCtx& c, LinKind kind, bool adaptive,
-                                const htm::RetryPolicy& policy = {}) {
-  using Ctx = ctx::SimCtx;
-  using trees::HtmBPTree;
-  using trees::OlcBPTree;
-  core::EunoConfig cfg =
-      adaptive ? core::EunoConfig::full() : core::EunoConfig::with_markbits();
-  cfg.policy = policy;
-  switch (kind) {
-    case LinKind::kBaseline: {
-      typename HtmBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_tree(std::make_shared<HtmBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kOlc: {
-      typename OlcBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_tree(std::make_shared<OlcBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kHtmMasstree: {
-      typename OlcBPTree<Ctx>::Options opt;
-      opt.htm_elide = true;
-      opt.policy = policy;
-      return wrap_lin_tree(std::make_shared<OlcBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kEunoS1:
-      return wrap_lin_tree(std::make_shared<core::EunoBPTree<Ctx, 16, 1>>(c, cfg));
-    case LinKind::kEunoS2:
-      return wrap_lin_tree(std::make_shared<core::EunoBPTree<Ctx, 16, 2>>(c, cfg));
-    case LinKind::kEunoS4:
-      return wrap_lin_tree(std::make_shared<core::EunoBPTree<Ctx, 16, 4>>(c, cfg));
-    case LinKind::kEunoS8:
-      return wrap_lin_tree(std::make_shared<core::EunoBPTree<Ctx, 16, 8>>(c, cfg));
-    case LinKind::kEunoSkipList:
-      // Direct instantiation (not the registry factory) on purpose: the
-      // mutation self-test compiles this TU with the seq-recheck knocked
-      // out, and the skiplist's get path must pick up the same mutation.
-      return wrap_lin_tree(
-          std::make_shared<trees::algo::EunoSkipList<Ctx, 16, 4>>(c, cfg));
-    case LinKind::kLockCoupling: {
-      typename trees::LockBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_tree(std::make_shared<trees::LockBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kRcuBptree: {
-      // Direct instantiation on purpose (see kEunoSkipList): the mutation
-      // self-test compiles this TU with the splice's edge validation knocked
-      // out and needs the broken instantiation, not the registry's.
-      typename trees::RcuBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_tree(std::make_shared<trees::RcuBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kThreePath: {
-      typename trees::ThreePathBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_tree(
-          std::make_shared<trees::ThreePathBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kStrHtm: {
-      typename trees::StrHtmBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_str_tree(
-          std::make_shared<trees::StrHtmBPTree<Ctx>>(c, opt));
-    }
-    case LinKind::kStrMasstree: {
-      typename trees::StrMasstree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_str_tree(
-          std::make_shared<trees::StrMasstree<Ctx>>(c, opt));
-    }
-    case LinKind::kStrLock: {
-      typename trees::StrLockBPTree<Ctx>::Options opt;
-      opt.policy = policy;
-      return wrap_lin_str_tree(
-          std::make_shared<trees::StrLockBPTree<Ctx>>(c, opt));
-    }
-  }
-  return {};
-}
 
 /// Preload value convention: a pure function of the key, disjoint from the
 /// per-op unique values below (those have a nonzero high word).
@@ -421,9 +215,12 @@ inline LinRun run_lin(const LinSpec& spec) {
   sim::Simulation simulation(mc);
   simulation.set_schedule_policy(spec.sched);
   ctx::SimCtx setup(simulation, 0);
+  const trees::TreeEntry* entry = trees::tree_registry().by_name(spec.kind);
+  EUNO_ASSERT_MSG(entry != nullptr, "lin spec names an unregistered tree");
   const htm::RetryPolicy policy =
       spec.degrade ? lin_degrade_policy() : htm::RetryPolicy{};
-  AnyLinTree tree = make_lin_tree(setup, spec.kind, spec.adaptive, policy);
+  const std::unique_ptr<trees::AnyTree<ctx::SimCtx>> tree =
+      entry->make_sim(setup, trees::TreeBuildOptions{policy});
   HistoryRecorder rec(spec.threads);
   std::vector<ctx::SiteStats> stats(static_cast<std::size_t>(spec.threads));
 
@@ -432,7 +229,7 @@ inline LinRun run_lin(const LinSpec& spec) {
   const bool split_race = spec.pattern == LinPattern::kSplitRace;
   for (std::uint64_t i = 0; i < spec.preload; ++i) {
     const Key k = split_race ? 2 * i : i;
-    tree.put(setup, k, lin_preload_value(k));
+    tree->put(setup, k, lin_preload_value(k));
     rec.record_preload(k, lin_preload_value(k), simulation.global_step());
   }
 
@@ -459,7 +256,7 @@ inline LinRun run_lin(const LinSpec& spec) {
             ev.key = k;
             ev.value = lin_put_value(core, i);
             ev.inv = simulation.global_step();
-            tree.put(c, ev.key, ev.value);
+            tree->put(c, ev.key, ev.value);
             ev.res = simulation.global_step();
           } else {
             // Read a preloaded (immutable) key near the split frontier.
@@ -471,7 +268,7 @@ inline LinRun run_lin(const LinSpec& spec) {
             ev.key = 2 * (lo + rng.next_bounded(span));
             Value v = 0;
             ev.inv = simulation.global_step();
-            ev.found = tree.get(c, ev.key, &v);
+            ev.found = tree->get(c, ev.key, &v);
             ev.res = simulation.global_step();
             ev.value = v;
           }
@@ -482,25 +279,25 @@ inline LinRun run_lin(const LinSpec& spec) {
             ev.op = OpKind::kPut;
             ev.value = lin_put_value(core, i);
             ev.inv = simulation.global_step();
-            tree.put(c, ev.key, ev.value);
+            tree->put(c, ev.key, ev.value);
             ev.res = simulation.global_step();
           } else if (roll < 7) {
             ev.op = OpKind::kGet;
             Value v = 0;
             ev.inv = simulation.global_step();
-            ev.found = tree.get(c, ev.key, &v);
+            ev.found = tree->get(c, ev.key, &v);
             ev.res = simulation.global_step();
             ev.value = v;
           } else if (roll < 9) {
             ev.op = OpKind::kErase;
             ev.inv = simulation.global_step();
-            ev.found = tree.erase(c, ev.key);
+            ev.found = tree->erase(c, ev.key);
             ev.res = simulation.global_step();
           } else {
             ev.op = OpKind::kScan;
             ev.limit = static_cast<std::uint32_t>(buf.size());
             ev.inv = simulation.global_step();
-            const std::size_t n = tree.scan(c, ev.key, buf.size(), buf.data());
+            const std::size_t n = tree->scan(c, ev.key, buf.size(), buf.data());
             ev.res = simulation.global_step();
             ev.scan_out.assign(buf.begin(),
                                buf.begin() + static_cast<std::ptrdiff_t>(n));
@@ -519,9 +316,9 @@ inline LinRun run_lin(const LinSpec& spec) {
   out.decisions = simulation.schedule_decisions();
   out.truncated = simulation.schedule_truncated();
   out.max_clock = simulation.max_clock();
-  tree.check();
+  tree->check_invariants();
   out.check = check_history(out.history);
-  tree.destroy(setup);
+  tree->destroy(setup);
   return out;
 }
 

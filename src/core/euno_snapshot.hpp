@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "core/euno_tree.hpp"
+#include "trees/trees.hpp"
 #include "util/assert.hpp"
 
 namespace euno::core {
@@ -23,7 +23,7 @@ inline constexpr std::uint64_t kSnapshotVersion = 1;
 /// Writes all records of a quiesced tree to `path`. Returns the record
 /// count, or -1 on I/O failure.
 template <class Ctx, int F, int S>
-long save_snapshot(Ctx& c, EunoBPTree<Ctx, F, S>& tree, const std::string& path) {
+long save_snapshot(Ctx& c, trees::EunoBPTree<Ctx, F, S>& tree, const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return -1;
 
@@ -75,7 +75,7 @@ inline bool read_snapshot(const std::string& path, std::vector<trees::KV>* out) 
 /// Rebuilds a packed tree from a snapshot file. The tree must be empty.
 /// Returns the number of records loaded, or -1 on failure.
 template <class Ctx, int F, int S>
-long load_snapshot(Ctx& c, EunoBPTree<Ctx, F, S>& tree, const std::string& path) {
+long load_snapshot(Ctx& c, trees::EunoBPTree<Ctx, F, S>& tree, const std::string& path) {
   std::vector<trees::KV> records;
   if (!read_snapshot(path, &records)) return -1;
   tree.bulk_load(c, records.data(), records.size());

@@ -26,11 +26,13 @@ using trees::node::BytesView;
 using workload::Op;
 using workload::OpType;
 
-std::string tree_kind_name(TreeKind k) {
-  return trees::tree_registry().expect(k).display;
-}
-
 namespace {
+
+const trees::TreeEntry& registered_tree(const std::string& slug) {
+  const trees::TreeEntry* e = trees::tree_registry().by_name(slug);
+  EUNO_ASSERT_MSG(e != nullptr, "tree slug not registered");
+  return *e;
+}
 
 /// Rows kept in the hottest-lines attribution table.
 constexpr std::size_t kHotLinesTopK = 16;
@@ -485,7 +487,7 @@ ExperimentResult run(const ExperimentSpec& spec, const Codec& codec,
 template <class Backend>
 ExperimentResult run_registry(const ExperimentSpec& spec) {
   using Ctx = typename Backend::Ctx;
-  const trees::TreeEntry& entry = trees::tree_registry().expect(spec.tree);
+  const trees::TreeEntry& entry = registered_tree(spec.tree);
   trees::TreeBuildOptions build;
   build.policy = spec.policy;
   if (spec.workload.key_domain == workload::KeyDomain::kBytes) {
@@ -500,6 +502,10 @@ ExperimentResult run_registry(const ExperimentSpec& spec) {
 }
 
 }  // namespace
+
+std::string tree_display_name(const std::string& slug) {
+  return registered_tree(slug).display;
+}
 
 ExperimentResult run_sim_experiment(const ExperimentSpec& spec) {
   return run_registry<SimBackend>(spec);

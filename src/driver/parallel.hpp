@@ -1,7 +1,7 @@
 // Parallel sweep runner.
 //
 // Every paper figure is a sweep of dozens of independent (workload x threads
-// x tree-kind) cells; each cell is one self-contained Simulation. This runner
+// x tree) cells; each cell is one self-contained Simulation. This runner
 // fans those cells across a pool of OS worker threads — one experiment runs
 // entirely on one worker thread at a time — and returns results in spec
 // order, bit-identical to running the sequential loop.

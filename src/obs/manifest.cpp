@@ -49,7 +49,7 @@ void write_histogram(JsonWriter& w, const char* name,
 void write_spec(JsonWriter& w, const driver::ExperimentSpec& s) {
   w.key("spec");
   w.begin_object();
-  w.kv("tree", driver::tree_kind_name(s.tree));
+  w.kv("tree", driver::tree_display_name(s.tree));
   w.kv("threads", s.threads);
   w.kv("ops_per_thread", s.ops_per_thread);
   w.kv("preload", s.preload);

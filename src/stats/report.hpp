@@ -48,7 +48,7 @@ struct BenchArgs {
   /// `--tree=NAME`: restrict the bench to one registered tree (registry
   /// slug, e.g. "euno" or "htm-bptree"). Empty = the bench's default tree
   /// set. Parsing stores the raw name; benches resolve it against the tree
-  /// registry (bench::selected_tree_kinds), which exits 2 and prints the
+  /// registry (bench::selected_trees), which exits 2 and prints the
   /// registered list on an unknown name.
   std::string tree;
   /// `--native`: run the sweep on the native engine (real threads, real RTM

@@ -1,4 +1,4 @@
-// Registration of every built-in tree: kind, CLI slug, display name (the
+// Registration of every built-in tree: CLI slug, display name (the
 // exact strings manifests and golden fixtures compare), capability flags and
 // the type-erased factories over both contexts.
 //
@@ -9,35 +9,13 @@
 
 #include <cstring>
 
-#include "core/euno_tree.hpp"
 #include "ctx/native_ctx.hpp"
 #include "ctx/sim_ctx.hpp"
 #include "trees/algo/euno_skiplist.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
-#include "trees/lockbtree/lock_bptree.hpp"
-#include "trees/olc/olc_bptree.hpp"
-#include "trees/rcubtree/rcu_bptree.hpp"
-#include "trees/strbtree/str_bptree.hpp"
-#include "trees/threepath/three_path_bptree.hpp"
+#include "trees/trees.hpp"
 
 namespace euno::trees {
 namespace {
-
-/// The Figure 13 ablation ladder maps each rung to an EunoConfig preset.
-core::EunoConfig euno_config_for(TreeKind k) {
-  using core::EunoConfig;
-  switch (k) {
-    case TreeKind::kEunoSplit:
-    case TreeKind::kEunoPart:
-      return EunoConfig::split_only();
-    case TreeKind::kEunoLockbits:
-      return EunoConfig::with_lockbits();
-    case TreeKind::kEunoMarkbits:
-      return EunoConfig::with_markbits();
-    default:
-      return EunoConfig::full();
-  }
-}
 
 template <class Ctx>
 std::unique_ptr<AnyTree<Ctx>> make_htm_bptree(Ctx& c,
@@ -58,16 +36,6 @@ std::unique_ptr<AnyTree<Ctx>> make_olc_bptree(Ctx& c,
   opt.policy = o.policy;
   return std::make_unique<AnyTreeOf<Ctx, Tree>>(
       c, [&](Ctx& cc) { return Tree(cc, opt); });
-}
-
-template <class Ctx, int S, TreeKind K>
-std::unique_ptr<AnyTree<Ctx>> make_euno_bptree(Ctx& c,
-                                               const TreeBuildOptions& o) {
-  using Tree = core::EunoBPTree<Ctx, 16, S>;
-  core::EunoConfig cfg = euno_config_for(K);
-  cfg.policy = o.policy;
-  return std::make_unique<AnyTreeOf<Ctx, Tree>>(
-      c, [&](Ctx& cc) { return Tree(cc, cfg); });
 }
 
 template <class Ctx>
@@ -218,24 +186,16 @@ TreeCaps figure_caps() {
   return caps;
 }
 
-TreeCaps ladder_caps() {
-  TreeCaps caps;
-  caps.ablation_rung = true;
-  return caps;
-}
-
 }  // namespace
 
 EUNO_REGISTER_TREE(htm_bptree, TreeEntry{
-    TreeKind::kHtmBPTree, "htm-bptree", "HTM-B+Tree",
-    [] { TreeCaps c = figure_caps(); c.ablation_rung = true; return c; }(),
+    "htm-bptree", "HTM-B+Tree", figure_caps(),
     &make_htm_bptree<ctx::SimCtx>, &make_htm_bptree<ctx::NativeCtx>});
 
 EUNO_REGISTER_TREE(masstree, TreeEntry{
-    TreeKind::kMasstree, "masstree", "Masstree",
+    "masstree", "Masstree",
     [] {
       TreeCaps c = figure_caps();
-      c.uses_htm = false;
       c.has_global_fallback = false;  // plain OLC never touches the lock
       return c;
     }(),
@@ -243,66 +203,59 @@ EUNO_REGISTER_TREE(masstree, TreeEntry{
     &make_olc_bptree<ctx::NativeCtx, false>});
 
 EUNO_REGISTER_TREE(htm_masstree, TreeEntry{
-    TreeKind::kHtmMasstree, "htm-masstree", "HTM-Masstree", figure_caps(),
+    "htm-masstree", "HTM-Masstree", figure_caps(),
     &make_olc_bptree<ctx::SimCtx, true>,
     &make_olc_bptree<ctx::NativeCtx, true>});
 
 EUNO_REGISTER_TREE(euno, TreeEntry{
-    TreeKind::kEuno, "euno", "Euno-B+Tree",
-    [] { TreeCaps c = figure_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_bptree<ctx::SimCtx, 4, TreeKind::kEuno>,
-    &make_euno_bptree<ctx::NativeCtx, 4, TreeKind::kEuno>});
+    "euno", "Euno-B+Tree", figure_caps(),
+    &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::full>,
+    &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::full>});
 
 EUNO_REGISTER_TREE(euno_split, TreeEntry{
-    TreeKind::kEunoSplit, "euno-split", "+Split HTM",
-    [] { TreeCaps c = ladder_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_bptree<ctx::SimCtx, 1, TreeKind::kEunoSplit>,
-    &make_euno_bptree<ctx::NativeCtx, 1, TreeKind::kEunoSplit>});
+    "euno-split", "+Split HTM", TreeCaps{},
+    &make_euno_bptree<ctx::SimCtx, 1, &core::EunoConfig::split_only>,
+    &make_euno_bptree<ctx::NativeCtx, 1, &core::EunoConfig::split_only>});
 
 EUNO_REGISTER_TREE(euno_part, TreeEntry{
-    TreeKind::kEunoPart, "euno-part", "+Part Leaf",
-    [] { TreeCaps c = ladder_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_bptree<ctx::SimCtx, 4, TreeKind::kEunoPart>,
-    &make_euno_bptree<ctx::NativeCtx, 4, TreeKind::kEunoPart>});
+    "euno-part", "+Part Leaf", TreeCaps{},
+    &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::split_only>,
+    &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::split_only>});
 
 EUNO_REGISTER_TREE(euno_lockbits, TreeEntry{
-    TreeKind::kEunoLockbits, "euno-lockbits", "+CCM lockbits",
-    [] { TreeCaps c = ladder_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_bptree<ctx::SimCtx, 4, TreeKind::kEunoLockbits>,
-    &make_euno_bptree<ctx::NativeCtx, 4, TreeKind::kEunoLockbits>});
+    "euno-lockbits", "+CCM lockbits", TreeCaps{},
+    &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::with_lockbits>,
+    &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::with_lockbits>});
 
 EUNO_REGISTER_TREE(euno_markbits, TreeEntry{
-    TreeKind::kEunoMarkbits, "euno-markbits", "+CCM markbits",
-    [] { TreeCaps c = ladder_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_bptree<ctx::SimCtx, 4, TreeKind::kEunoMarkbits>,
-    &make_euno_bptree<ctx::NativeCtx, 4, TreeKind::kEunoMarkbits>});
+    "euno-markbits", "+CCM markbits", TreeCaps{},
+    &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::with_markbits>,
+    &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::with_markbits>});
 
 EUNO_REGISTER_TREE(euno_adaptive, TreeEntry{
-    TreeKind::kEunoAdaptive, "euno-adaptive", "+Adaptive",
-    [] { TreeCaps c = ladder_caps(); c.partitioned_leaves = true; return c; }(),
-    &make_euno_bptree<ctx::SimCtx, 4, TreeKind::kEunoAdaptive>,
-    &make_euno_bptree<ctx::NativeCtx, 4, TreeKind::kEunoAdaptive>});
+    "euno-adaptive", "+Adaptive", TreeCaps{},
+    &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::full>,
+    &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::full>});
 
 // Post-refactor structures, registered after the original nine so the
 // pre-existing listing/sweep order (and with it the golden manifests for
-// those kinds) is untouched.
+// those trees) is untouched.
 
 EUNO_REGISTER_TREE(euno_skiplist, TreeEntry{
-    TreeKind::kEunoSkipList, "euno-skiplist", "Euno-SkipList",
-    [] { TreeCaps c = figure_caps(); c.partitioned_leaves = true; return c; }(),
+    "euno-skiplist", "Euno-SkipList", figure_caps(),
     &make_euno_skiplist<ctx::SimCtx>, &make_euno_skiplist<ctx::NativeCtx>});
 
 EUNO_REGISTER_TREE(lock_bptree, TreeEntry{
-    TreeKind::kLockBPTree, "lock-bptree", "Lock-B+Tree",
-    [] { TreeCaps c; c.uses_htm = false; c.has_global_fallback = false; return c; }(),
+    "lock-bptree", "Lock-B+Tree",
+    [] { TreeCaps c; c.has_global_fallback = false; return c; }(),
     &make_lock_bptree<ctx::SimCtx>, &make_lock_bptree<ctx::NativeCtx>});
 
 EUNO_REGISTER_TREE(rcu_bptree, TreeEntry{
-    TreeKind::kRcuBPTree, "rcu-bptree", "RCU-HTM-B+Tree", figure_caps(),
+    "rcu-bptree", "RCU-HTM-B+Tree", figure_caps(),
     &make_rcu_bptree<ctx::SimCtx>, &make_rcu_bptree<ctx::NativeCtx>});
 
 EUNO_REGISTER_TREE(three_path_bptree, TreeEntry{
-    TreeKind::kThreePathBPTree, "3path-bptree", "3Path-B+Tree",
+    "3path-bptree", "3Path-B+Tree",
     // The three-path template takes the global lock only in its terminal
     // (stage-2) degradation mode, never on the generic op path.
     [] { TreeCaps c = figure_caps(); c.has_global_fallback = false; return c; }(),
@@ -312,38 +265,32 @@ EUNO_REGISTER_TREE(three_path_bptree, TreeEntry{
 // Bytes-domain trees, registered last (same listing-order argument as
 // above). Not in the default figure sweeps — fig_common's four-tree u64
 // figures stay as-is; the scan-heavy bytes figures (bench/fig_scan) select
-// by key_domain. The lin harness reaches them through its own codec
-// wrapper (check/harness.hpp), not through caps.lin.
+// by key_domain. The lin harness checks them through the u64 codec above.
 namespace {
-TreeCaps str_caps(bool uses_htm, bool has_fallback) {
+TreeCaps str_caps(bool has_fallback) {
   TreeCaps c;
-  c.uses_htm = uses_htm;
   c.has_global_fallback = has_fallback;
-  c.lin = false;
   c.key_domain = KeyDomain::kBytes;
   return c;
 }
 }  // namespace
 
 EUNO_REGISTER_TREE(str_htm_bptree, TreeEntry{
-    TreeKind::kStrHtmBPTree, "str-htm-bptree", "Str-HTM-B+Tree",
-    str_caps(true, true),
+    "str-htm-bptree", "Str-HTM-B+Tree", str_caps(true),
     &make_str_codec<ctx::SimCtx, StrHtmBPTree>,
     &make_str_codec<ctx::NativeCtx, StrHtmBPTree>,
     &make_str_tree<ctx::SimCtx, StrHtmBPTree>,
     &make_str_tree<ctx::NativeCtx, StrHtmBPTree>});
 
 EUNO_REGISTER_TREE(str_masstree, TreeEntry{
-    TreeKind::kStrMasstree, "str-masstree", "Str-Masstree",
-    str_caps(false, false),
+    "str-masstree", "Str-Masstree", str_caps(false),
     &make_str_codec<ctx::SimCtx, StrMasstree>,
     &make_str_codec<ctx::NativeCtx, StrMasstree>,
     &make_str_tree<ctx::SimCtx, StrMasstree>,
     &make_str_tree<ctx::NativeCtx, StrMasstree>});
 
 EUNO_REGISTER_TREE(str_lock_bptree, TreeEntry{
-    TreeKind::kStrLockBPTree, "str-lock-bptree", "Str-Lock-B+Tree",
-    str_caps(false, false),
+    "str-lock-bptree", "Str-Lock-B+Tree", str_caps(false),
     &make_str_codec<ctx::SimCtx, StrLockBPTree>,
     &make_str_codec<ctx::NativeCtx, StrLockBPTree>,
     &make_str_tree<ctx::SimCtx, StrLockBPTree>,

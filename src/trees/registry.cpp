@@ -18,7 +18,6 @@ void TreeRegistry::add(TreeEntry e) {
   EUNO_ASSERT_MSG(!e.name.empty() && !e.display.empty(),
                   "tree registration needs a name and a display name");
   EUNO_ASSERT_MSG(by_name(e.name) == nullptr, "duplicate tree name");
-  EUNO_ASSERT_MSG(by_kind(e.kind) == nullptr, "duplicate tree kind");
   EUNO_ASSERT_MSG(e.make_sim != nullptr && e.make_native != nullptr,
                   "tree registration needs both factories");
   entries_.push_back(std::move(e));
@@ -28,18 +27,6 @@ const TreeEntry* TreeRegistry::by_name(const std::string& name) const {
   for (const auto& e : entries_)
     if (e.name == name) return &e;
   return nullptr;
-}
-
-const TreeEntry* TreeRegistry::by_kind(TreeKind kind) const {
-  for (const auto& e : entries_)
-    if (e.kind == kind) return &e;
-  return nullptr;
-}
-
-const TreeEntry& TreeRegistry::expect(TreeKind kind) const {
-  const TreeEntry* e = by_kind(kind);
-  EUNO_ASSERT_MSG(e != nullptr, "tree kind not registered");
-  return *e;
 }
 
 TreeRegistry& tree_registry() {

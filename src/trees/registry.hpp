@@ -2,11 +2,12 @@
 //
 // Every concurrent tree the repo can run registers one TreeEntry (see
 // builtin_trees.cpp), carrying
-//   - the CLI slug (`--tree=htm-bptree`),
+//   - the CLI slug (`--tree=htm-bptree`), the tree's one identity: specs,
+//     sweeps, tests and lin replay strings all select trees by it,
 //   - the display name used in bench tables and run manifests (these are
 //     load-bearing: golden manifests compare them byte-for-byte),
-//   - capability flags (which default sweeps include it, whether it runs
-//     under the linearizability harness, ...),
+//   - capability flags (default sweep membership, global-fallback use, key
+//     domain),
 //   - type-erased factories over both execution contexts.
 //
 // The driver's run_sim_experiment/run_native_experiment, fig_common.hpp and
@@ -22,7 +23,6 @@
 #include "htm/policy.hpp"
 #include "trees/common.hpp"
 #include "trees/key_traits.hpp"
-#include "trees/kinds.hpp"
 
 namespace euno::ctx {
 class SimCtx;
@@ -134,19 +134,11 @@ class AnyStrTreeOf final : public AnyStrTree<Ctx> {
   Tree tree_;
 };
 
-/// Capability flags consumed by fig_common.hpp (default sweep membership)
-/// and the registry-driven conformance/lin suites.
+/// Capability flags consumed by fig_common.hpp (default sweep membership),
+/// the fault campaigns and the bytes-domain benches.
 struct TreeCaps {
   /// Appears in the default four-tree figure sweeps (fig08/10/11/12, ...).
   bool figure_default = false;
-  /// Member of the Figure 13 cumulative ablation ladder.
-  bool ablation_rung = false;
-  /// Uses HTM regions (can degrade / be fault-injected at tx granularity).
-  bool uses_htm = true;
-  /// Built on the paper's partitioned-leaf pattern (segments + seqno + CCM).
-  bool partitioned_leaves = false;
-  /// Swept by the linearizability harness's registry-driven specs.
-  bool lin = true;
   /// Every operation can degrade to the tree's global FallbackLock (the
   /// standard ctx::txn terminal mode). False for policies that never take
   /// it (pure locking / OLC baselines) or only reach it in a terminal
@@ -163,7 +155,6 @@ struct TreeCaps {
 };
 
 struct TreeEntry {
-  TreeKind kind{};
   std::string name;     // registry/CLI slug, e.g. "htm-bptree"
   std::string display;  // table/manifest name, e.g. "HTM-B+Tree"
   TreeCaps caps{};
@@ -183,17 +174,14 @@ class TreeRegistry {
  public:
   static TreeRegistry& instance();
 
-  /// Registers one tree. Duplicate kinds or names assert: names are CLI
-  /// surface and kinds key the driver dispatch, so collisions are bugs.
+  /// Registers one tree. Duplicate names assert: the slug is the tree's one
+  /// identity (CLI, specs, replay strings), so a collision is a bug.
   void add(TreeEntry e);
 
   /// Entries in registration order (the order listings and sweeps use).
   const std::vector<TreeEntry>& entries() const { return entries_; }
 
   const TreeEntry* by_name(const std::string& name) const;
-  const TreeEntry* by_kind(TreeKind kind) const;
-  /// by_kind that asserts the kind is registered (driver dispatch path).
-  const TreeEntry& expect(TreeKind kind) const;
 
  private:
   std::vector<TreeEntry> entries_;

@@ -10,7 +10,7 @@
 namespace euno::driver {
 namespace {
 
-ExperimentSpec small_spec(TreeKind tree, double theta, int threads) {
+ExperimentSpec small_spec(const std::string& tree, double theta, int threads) {
   // Figure-style configuration scaled down for test runtime: consecutive
   // (unscrambled) zipfian hot keys, half the keys preloaded with stride 2 so
   // hot inserts continue during the measured phase.
@@ -28,37 +28,36 @@ ExperimentSpec small_spec(TreeKind tree, double theta, int threads) {
   return spec;
 }
 
-TEST(Driver, AllTreeKindsRunAndProduceOps) {
-  for (TreeKind k :
-       {TreeKind::kHtmBPTree, TreeKind::kMasstree, TreeKind::kHtmMasstree,
-        TreeKind::kEuno, TreeKind::kEunoSplit, TreeKind::kEunoPart,
-        TreeKind::kEunoLockbits, TreeKind::kEunoMarkbits}) {
+TEST(Driver, AllTreesRunAndProduceOps) {
+  for (const char* k : {"htm-bptree", "masstree", "htm-masstree", "euno",
+                        "euno-split", "euno-part", "euno-lockbits",
+                        "euno-markbits"}) {
     const auto r = run_sim_experiment(small_spec(k, 0.5, 4));
-    EXPECT_EQ(r.ops, 6000u) << tree_kind_name(k);
-    EXPECT_GT(r.throughput_mops, 0.0) << tree_kind_name(k);
-    EXPECT_GT(r.sim_cycles, 0u) << tree_kind_name(k);
-    EXPECT_GT(r.instructions_per_op, 0.0) << tree_kind_name(k);
+    EXPECT_EQ(r.ops, 6000u) << tree_display_name(k);
+    EXPECT_GT(r.throughput_mops, 0.0) << tree_display_name(k);
+    EXPECT_GT(r.sim_cycles, 0u) << tree_display_name(k);
+    EXPECT_GT(r.instructions_per_op, 0.0) << tree_display_name(k);
   }
 }
 
 TEST(Driver, Deterministic) {
-  const auto a = run_sim_experiment(small_spec(TreeKind::kEuno, 0.9, 8));
-  const auto b = run_sim_experiment(small_spec(TreeKind::kEuno, 0.9, 8));
+  const auto a = run_sim_experiment(small_spec("euno", 0.9, 8));
+  const auto b = run_sim_experiment(small_spec("euno", 0.9, 8));
   EXPECT_EQ(a.sim_cycles, b.sim_cycles);
   EXPECT_EQ(a.aborts_total, b.aborts_total);
   EXPECT_EQ(a.commits, b.commits);
 }
 
 TEST(Driver, BaselineAbortsGrowWithContention) {
-  const auto low = run_sim_experiment(small_spec(TreeKind::kHtmBPTree, 0.2, 16));
-  const auto high = run_sim_experiment(small_spec(TreeKind::kHtmBPTree, 0.99, 16));
+  const auto low = run_sim_experiment(small_spec("htm-bptree", 0.2, 16));
+  const auto high = run_sim_experiment(small_spec("htm-bptree", 0.99, 16));
   EXPECT_GT(high.aborts_per_op, low.aborts_per_op * 3)
       << "Figure 2 premise: aborts must rise sharply with skew";
 }
 
 TEST(Driver, EunoBeatsBaselineUnderHighContention) {
-  const auto base = run_sim_experiment(small_spec(TreeKind::kHtmBPTree, 0.99, 16));
-  const auto euno = run_sim_experiment(small_spec(TreeKind::kEuno, 0.99, 16));
+  const auto base = run_sim_experiment(small_spec("htm-bptree", 0.99, 16));
+  const auto euno = run_sim_experiment(small_spec("euno", 0.99, 16));
   EXPECT_GT(euno.throughput_mops, base.throughput_mops * 1.4)
       << "§5.2: Euno should clearly beat the monolithic baseline at θ=0.99 "
       << "(the paper reports up to 11x on its testbed; our simulated machine "
@@ -68,8 +67,8 @@ TEST(Driver, EunoBeatsBaselineUnderHighContention) {
 }
 
 TEST(Driver, EunoOverheadSmallUnderLowContention) {
-  const auto base = run_sim_experiment(small_spec(TreeKind::kHtmBPTree, 0.2, 16));
-  const auto euno = run_sim_experiment(small_spec(TreeKind::kEuno, 0.2, 16));
+  const auto base = run_sim_experiment(small_spec("htm-bptree", 0.2, 16));
+  const auto euno = run_sim_experiment(small_spec("euno", 0.2, 16));
   EXPECT_GT(euno.throughput_mops, base.throughput_mops * 0.55)
       << "§5.6: adaptive control keeps low-contention overhead bounded "
       << "(the extra HTM region, mark maintenance and scattered search "
@@ -78,20 +77,20 @@ TEST(Driver, EunoOverheadSmallUnderLowContention) {
 }
 
 TEST(Driver, MonolithicAbortsLandInMonoSite) {
-  const auto r = run_sim_experiment(small_spec(TreeKind::kHtmBPTree, 0.9, 16));
+  const auto r = run_sim_experiment(small_spec("htm-bptree", 0.9, 16));
   EXPECT_GT(r.mono_aborts, 0u);
   EXPECT_EQ(r.upper_aborts + r.lower_aborts, 0u);
 }
 
 TEST(Driver, EunoAbortsConcentrateInLowerRegion) {
-  const auto r = run_sim_experiment(small_spec(TreeKind::kEunoPart, 0.95, 16));
+  const auto r = run_sim_experiment(small_spec("euno-part", 0.95, 16));
   EXPECT_EQ(r.mono_aborts, 0u);
   EXPECT_GT(r.lower_aborts, r.upper_aborts)
       << "conflicts concentrate in the leaf layer (§2.3)";
 }
 
 TEST(Driver, NativeEngineSmoke) {
-  auto spec = small_spec(TreeKind::kEuno, 0.9, 2);
+  auto spec = small_spec("euno", 0.9, 2);
   spec.ops_per_thread = 2000;
   const auto r = run_native_experiment(spec);
   EXPECT_EQ(r.ops, 4000u);
@@ -103,7 +102,7 @@ TEST(Driver, NativeEngineSmoke) {
 // the results exactly, so any drift in preload, key materialization, shard
 // routing or the result fold shows up here.
 TEST(Driver, BytesStoreSimPinned) {
-  auto spec = small_spec(TreeKind::kStrHtmBPTree, 0.9, 4);
+  auto spec = small_spec("str-htm-bptree", 0.9, 4);
   spec.workload.key_range = 1 << 12;
   spec.workload.key_domain = workload::KeyDomain::kBytes;
   spec.workload.mix = {40, 40, 10, 10};
@@ -131,7 +130,7 @@ TEST(Driver, NativePathsServeEveryOp) {
     for (const bool bytes : {false, true}) {
       SCOPED_TRACE(std::string(store ? "store" : "tree") +
                    (bytes ? "/bytes" : "/u64"));
-      auto spec = small_spec(bytes ? TreeKind::kStrMasstree : TreeKind::kEuno,
+      auto spec = small_spec(bytes ? "str-masstree" : "euno",
                              0.9, 2);
       spec.workload.key_range = 1 << 12;
       spec.preload = spec.workload.key_range / 2;
@@ -160,14 +159,14 @@ TEST(Driver, NativePathsServeEveryOp) {
 // is built, so an invalid count fails fast instead of dividing by zero ops or
 // asserting inside an already running worker.
 TEST(DriverDeathTest, NativeRejectsThreadCountOutsideCapacity) {
-  auto spec = small_spec(TreeKind::kEuno, 0.5, 0);
+  auto spec = small_spec("euno", 0.5, 0);
   EXPECT_DEATH(run_native_experiment(spec), "thread count");
   spec.threads = 65;
   EXPECT_DEATH(run_native_experiment(spec), "thread count");
 }
 
 TEST(Driver, MemoryAccounting) {
-  const auto r = run_sim_experiment(small_spec(TreeKind::kEuno, 0.5, 4));
+  const auto r = run_sim_experiment(small_spec("euno", 0.5, 4));
   EXPECT_GT(r.mem_total, 0u);
   // CCM bytes are folded into each leaf allocation (one line per leaf), so
   // the reserved-keys class is the visible Euno overhead knob.

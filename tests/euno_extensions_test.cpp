@@ -5,13 +5,13 @@
 #include <vector>
 
 #include "core/euno_snapshot.hpp"
-#include "core/euno_tree.hpp"
 #include "tree_conformance.hpp"
+#include "trees/trees.hpp"
 
 namespace euno::tests {
 namespace {
 
-using core::EunoBPTree;
+using trees::EunoBPTree;
 using core::EunoConfig;
 
 std::vector<KV> make_sorted(std::size_t n, Key stride = 3, Key base = 10) {

@@ -164,15 +164,15 @@ TEST(FigCommon, SweepHelpers) {
   // The default figure sweep is exactly the registry's figure_default set:
   // the paper's four trees plus the post-refactor Euno-SkipList and the two
   // alternative-design policies (RCU-HTM and the three-path template).
-  const auto kinds = bench::figure_tree_kinds();
+  const auto slugs = bench::figure_trees();
   std::size_t expected = 0;
   for (const auto& e : trees::tree_registry().entries()) {
     if (e.caps.figure_default) ++expected;
   }
-  EXPECT_EQ(kinds.size(), expected);
-  EXPECT_EQ(kinds.size(), 7u);
-  EXPECT_NE(std::find(kinds.begin(), kinds.end(), trees::TreeKind::kEunoSkipList),
-            kinds.end());
+  EXPECT_EQ(slugs.size(), expected);
+  EXPECT_EQ(slugs.size(), 7u);
+  EXPECT_NE(std::find(slugs.begin(), slugs.end(), "euno-skiplist"),
+            slugs.end());
 }
 
 TEST(FigCommon, FigureSpecHonorsArgs) {
@@ -198,9 +198,8 @@ TEST(FigCommon, RunFigureSweepSequentialFallback) {
   spec.machine.arena_bytes = 256ull << 20;
 
   std::vector<driver::ExperimentSpec> specs;
-  for (auto kind :
-       {driver::TreeKind::kHtmBPTree, driver::TreeKind::kEuno}) {
-    spec.tree = kind;
+  for (const char* slug : {"htm-bptree", "euno"}) {
+    spec.tree = slug;
     specs.push_back(spec);
   }
 

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "tree_conformance.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
+#include "trees/trees.hpp"
 
 namespace euno::tests {
 namespace {

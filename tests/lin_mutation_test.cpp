@@ -15,10 +15,11 @@
 //    path commits without bumping node versions, breaking its handshake
 //    with concurrent slow-path validation (torn/stale reads).
 //
-// Each mutation affects a disjoint tree type, so one TU carries all three.
-// The harness header instantiates the mutated trees inside this TU only
-// (the euno_check library contains no tree code), so no other binary ever
-// links a broken variant. Every test must find a schedule where the seeded
+// Each mutation affects a disjoint tree type, so one binary carries all
+// three. The binary compiles the registry sources (builtin_trees.cpp,
+// registry.cpp, simd_search.cpp) itself under the same defines and does not
+// link euno_trees, so every registry slug it resolves builds a mutated
+// instantiation, and no other binary ever links a broken variant. Every test must find a schedule where the seeded
 // bug produces a linearizability violation, and that counterexample must
 // replay deterministically from its printed spec string.
 #include "check/harness.hpp"
@@ -37,7 +38,6 @@
 namespace euno::tests {
 namespace {
 
-using check::LinKind;
 using check::LinPattern;
 using check::LinRun;
 using check::LinSpec;
@@ -78,7 +78,7 @@ void expect_deterministic_replay(const LinSpec& spec) {
 
 LinSpec mutation_spec(std::uint64_t sched_seed) {
   LinSpec spec;
-  spec.kind = LinKind::kEunoS4;  // markbit config: both mutated sites active
+  spec.kind = "euno-markbits";  // markbit config: both mutated sites active
   spec.pattern = LinPattern::kSplitRace;
   // 1 writer + 3 readers, with preloaded even keys spread across the whole
   // insert range so nearly every split moves keys the readers are chasing.
@@ -144,7 +144,7 @@ TEST(LinMutation, BrokenSeqRecheckIsFlaggedAndReplayable) {
 // are common; 100% preemption makes the clone/splice window wide.
 LinSpec rcu_mutation_spec(std::uint64_t sched_seed) {
   LinSpec spec;
-  spec.kind = LinKind::kRcuBptree;
+  spec.kind = "rcu-bptree";
   spec.threads = 4;
   spec.ops_per_thread = 80;
   spec.key_range = 24;
@@ -174,7 +174,7 @@ TEST(LinMutation, BrokenRcuEdgeValidationIsFlaggedAndReplayable) {
 // read/validate windows open across middle commits.
 LinSpec three_path_mutation_spec(std::uint64_t sched_seed) {
   LinSpec spec;
-  spec.kind = LinKind::kThreePath;
+  spec.kind = "3path-bptree";
   spec.threads = 4;
   spec.ops_per_thread = 100;
   spec.key_range = 24;

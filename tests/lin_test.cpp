@@ -1,18 +1,19 @@
-// Linearizability sweep: every tree kind under the schedule-exploration
+// Linearizability sweep: every registered tree under the schedule-exploration
 // policies (deterministic, seeded-random preemption, preempt-on-tx-begin,
 // abort-storm injection), histories checked by src/check. Plus determinism
 // of replay (same spec => identical history) and a bounded systematic
 // exploration on a tiny configuration.
+#include <string>
 #include <vector>
 
-#include "check/harness.hpp"
+#include "check/euno_variants.hpp"
 #include "check/explore.hpp"
+#include "check/harness.hpp"
 #include "repro_main.hpp"
 
 namespace euno::tests {
 namespace {
 
-using check::LinKind;
 using check::LinPattern;
 using check::LinRun;
 using check::LinSpec;
@@ -31,7 +32,8 @@ SchedulePolicy rand_policy(std::uint64_t seed, std::uint32_t preempt_pct = 100,
 
 std::vector<LinSpec> lin_params() {
   std::vector<LinSpec> specs;
-  for (const LinKind kind : check::kAllLinKinds) {
+  for (const auto& entry : trees::tree_registry().entries()) {
+    const std::string& kind = entry.name;
     // Deterministic heap scheduler (the production interleaving).
     {
       LinSpec s;
@@ -73,19 +75,17 @@ std::vector<LinSpec> lin_params() {
     }
   }
   // Adaptive-enabled Euno variants (full() config: lockbits + adaptation).
-  for (const LinKind kind : {LinKind::kEunoS2, LinKind::kEunoS4}) {
+  for (const char* kind : {"euno-s2-adaptive", "euno"}) {
     LinSpec s;
     s.kind = kind;
-    s.adaptive = true;
     s.sched = rand_policy(19, 80, /*txp=*/true);
     specs.push_back(s);
   }
   // Graceful degradation under an abort storm: the hardened policy with a
   // hair-trigger health monitor must flip each HTM-using tree to lock-only
   // mid-run without the history ceasing to linearize.
-  for (const LinKind kind : {LinKind::kBaseline, LinKind::kHtmMasstree,
-                             LinKind::kEunoS2, LinKind::kEunoS4,
-                             LinKind::kEunoSkipList, LinKind::kRcuBptree}) {
+  for (const char* kind : {"htm-bptree", "htm-masstree", "euno-s2-markbits",
+                           "euno-markbits", "euno-skiplist", "rcu-bptree"}) {
     LinSpec s;
     s.kind = kind;
     s.degrade = true;
@@ -98,7 +98,7 @@ std::vector<LinSpec> lin_params() {
   // chain test below for the stage assertions).
   for (const std::uint64_t seed : {29ull, 31ull}) {
     LinSpec s;
-    s.kind = LinKind::kThreePath;
+    s.kind = "3path-bptree";
     s.degrade = true;
     s.sched = rand_policy(seed, 50, /*txp=*/false, /*storm=*/60);
     specs.push_back(s);
@@ -137,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(AllTrees, LinCheck, ::testing::ValuesIn(lin_params()),
 // degradation, so the full chain shows as exactly two.
 TEST(LinDegradeChain, ThreePathDescendsToTerminalLockOnly) {
   LinSpec spec;
-  spec.kind = LinKind::kThreePath;
+  spec.kind = "3path-bptree";
   spec.degrade = true;
   spec.ops_per_thread = 80;
   spec.sched = rand_policy(29, 50, /*txp=*/false, /*storm=*/60);
@@ -152,7 +152,7 @@ TEST(LinDegradeChain, ThreePathDescendsToTerminalLockOnly) {
 
 TEST(LinDeterminism, SameSpecSameHistory) {
   LinSpec spec;
-  spec.kind = LinKind::kEunoS4;
+  spec.kind = "euno-markbits";
   spec.sched = rand_policy(23, 90, /*txp=*/true, /*storm=*/10);
   repro_extra() = "# replay: " + check::lin_repro_line(spec);
   const LinRun a = run_lin(spec);
@@ -174,8 +174,7 @@ TEST(LinDeterminism, SameSpecSameHistory) {
 
 TEST(LinDeterminism, SpecStringRoundTrips) {
   LinSpec spec;
-  spec.kind = LinKind::kHtmMasstree;
-  spec.adaptive = false;
+  spec.kind = "htm-masstree";
   spec.degrade = true;
   spec.pattern = LinPattern::kSplitRace;
   spec.threads = 2;
@@ -187,12 +186,30 @@ TEST(LinDeterminism, SpecStringRoundTrips) {
   EXPECT_EQ(parsed->to_string(), spec.to_string());
 }
 
+// Replay strings that used to crash the run or silently misreport it: an
+// empty key range (the workload draws from [0, 0)), more fibers than
+// simulated cores, integers with trailing characters (atoi read "3x" as 3),
+// and names that are not registry slugs. All of them must be rejected.
+TEST(LinDeterminism, SpecStringRejectsMalformedFields) {
+  for (const char* bad :
+       {"keys=0", "threads=33", "threads=3x", "ops=9x", "keys=16k",
+        "preload=8p", "wseed=1z", "arena=64M", "degrade=yes", "kind=EunoS4",
+        "kind=Baseline"}) {
+    EXPECT_FALSE(LinSpec::parse(bad).has_value()) << bad;
+  }
+  // The bounds themselves stay valid.
+  const auto edge = LinSpec::parse("kind=euno-markbits;threads=32;keys=1");
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->threads, 32);
+  EXPECT_EQ(edge->key_range, 1u);
+}
+
 // Bounded systematic exploration of a tiny configuration: 2 fibers, a few
 // ops on one hot key pair. Every explored interleaving must linearize, and
 // the explorer must actually deviate from the default schedule.
 TEST(LinExplore, SystematicTinyConfigAllSchedulesLinearize) {
   LinSpec spec;
-  spec.kind = LinKind::kEunoS2;
+  spec.kind = "euno-s2-markbits";
   spec.threads = 2;
   spec.ops_per_thread = 3;
   spec.key_range = 2;

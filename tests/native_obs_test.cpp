@@ -19,7 +19,7 @@ namespace {
 
 ExperimentSpec native_spec(int threads) {
   ExperimentSpec spec;
-  spec.tree = TreeKind::kEuno;
+  spec.tree = "euno";
   spec.threads = threads;
   spec.workload.key_range = 1 << 14;
   spec.workload.dist = workload::DistKind::kZipfian;

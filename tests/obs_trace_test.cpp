@@ -184,7 +184,7 @@ TEST(EventRing, MergeOrdersByClockThenCore) {
 
 driver::ExperimentResult traced_run() {
   driver::ExperimentSpec spec;
-  spec.tree = driver::TreeKind::kEuno;
+  spec.tree = "euno";
   spec.threads = 4;
   spec.ops_per_thread = 150;
   spec.workload.key_range = 1 << 12;
@@ -350,7 +350,7 @@ TEST(TraceExport, ChromeTraceJsonParsesAndEventsNest) {
 
 TEST(TraceExport, TracingOffYieldsNoEvents) {
   driver::ExperimentSpec spec;
-  spec.tree = driver::TreeKind::kEuno;
+  spec.tree = "euno";
   spec.threads = 2;
   spec.ops_per_thread = 50;
   spec.workload.key_range = 1 << 10;

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "tree_conformance.hpp"
-#include "trees/olc/olc_bptree.hpp"
+#include "trees/trees.hpp"
 
 namespace euno::tests {
 namespace {

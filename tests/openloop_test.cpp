@@ -155,7 +155,7 @@ TEST(DriftingOpStream, DriftMovesTheSampledPopulation) {
 
 TEST(OpenLoopExperiment, JobsFanOutIsBitIdentical) {
   driver::ExperimentSpec spec;
-  spec.tree = driver::TreeKind::kEuno;
+  spec.tree = "euno";
   spec.threads = 4;
   spec.ops_per_thread = 120;
   spec.workload.key_range = 1 << 12;

@@ -30,8 +30,8 @@ std::vector<ExperimentSpec> small_sweep() {
     base.workload.dist_param = theta;
     for (int threads : {4, 16}) {
       base.threads = threads;
-      for (auto kind : {TreeKind::kHtmBPTree, TreeKind::kEuno}) {
-        base.tree = kind;
+      for (const char* slug : {"htm-bptree", "euno"}) {
+        base.tree = slug;
         specs.push_back(base);
       }
     }

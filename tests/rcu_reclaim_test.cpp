@@ -23,7 +23,7 @@
 #include "ctx/sim_ctx.hpp"
 #include "driver/experiment.hpp"
 #include "obs/manifest.hpp"
-#include "trees/rcubtree/rcu_bptree.hpp"
+#include "trees/trees.hpp"
 #include "util/epoch.hpp"
 #include "util/rng.hpp"
 
@@ -228,7 +228,7 @@ std::string slurp(const std::string& path) {
 
 TEST(RcuReclaim, ManifestCarriesRetireCountersUnderFaults) {
   driver::ExperimentSpec spec;
-  spec.tree = driver::TreeKind::kRcuBPTree;
+  spec.tree = "rcu-bptree";
   spec.threads = 4;
   spec.workload.key_range = 1 << 10;
   spec.workload.mix = workload::OpMix{50, 40, 10, 0};
@@ -257,7 +257,7 @@ TEST(RcuReclaim, ManifestCarriesRetireCountersUnderFaults) {
   // ...and must stay absent for trees that never retire, keeping the
   // pre-existing golden manifests byte-identical.
   auto plain = spec;
-  plain.tree = driver::TreeKind::kHtmBPTree;
+  plain.tree = "htm-bptree";
   const auto pr = run_sim_experiment(plain);
   const std::string ppath = "rcu_reclaim_plain_manifest.json";
   ASSERT_TRUE(obs::write_manifest(ppath, "rcu_reclaim_test", &plain, &pr, 1));

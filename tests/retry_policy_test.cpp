@@ -6,12 +6,10 @@
 #include <stdexcept>
 
 #include "core/euno_config.hpp"
-#include "core/euno_tree.hpp"
 #include "ctx/sim_ctx.hpp"
 #include "htm/policy.hpp"
 #include "sim/engine.hpp"
-#include "trees/htmbtree/htm_bptree.hpp"
-#include "trees/olc/olc_bptree.hpp"
+#include "trees/trees.hpp"
 
 namespace euno::tests {
 namespace {
@@ -133,7 +131,7 @@ TEST(EunoConfigValidate, TreeConstructorsRejectBadConfigs) {
 
   core::EunoConfig bad = core::EunoConfig::full();
   bad.adapt_window = 0;
-  EXPECT_THROW((core::EunoBPTree<ctx::SimCtx>(c, bad)), std::invalid_argument);
+  EXPECT_THROW((trees::EunoBPTree<ctx::SimCtx>(c, bad)), std::invalid_argument);
 
   trees::HtmBPTree<ctx::SimCtx>::Options hopt;
   hopt.policy.other_retries = -1;

@@ -18,7 +18,7 @@ namespace {
 
 driver::ExperimentSpec base_spec() {
   driver::ExperimentSpec spec;
-  spec.tree = driver::TreeKind::kHtmBPTree;
+  spec.tree = "htm-bptree";
   spec.threads = 4;
   spec.workload.key_range = 1 << 10;
   spec.workload.mix = workload::OpMix{50, 50, 0, 0};
@@ -180,7 +180,7 @@ TEST(SimFault, LockHolderDelayInflatesWaiting) {
 TEST(SimFault, LockHolderDelayGatedByGlobalFallbackCap) {
   for (const trees::TreeEntry& e : trees::tree_registry().entries()) {
     auto spec = base_spec();
-    spec.tree = e.kind;
+    spec.tree = e.name;
     spec.policy.conflict_retries = 0;
     spec.policy.capacity_retries = 0;
     spec.policy.other_retries = 0;
