@@ -57,6 +57,14 @@ inline bool parse_lin_u64(const std::string& s, std::uint64_t* out) {
   return end == s.c_str() + s.size();
 }
 
+/// Smallest simulated arena a replay string may ask for. Below it no
+/// registered tree completes even the default LinSpec: the run aborts on a
+/// failed arena mmap (arena=0) or on arena exhaustion mid-run, where a bad
+/// replay should be a usage error. Measured by bisecting `arena=` per slug
+/// on the default spec: rcu-bptree needs the most (24321 bytes), the str-*
+/// trees about 3.7 KiB and every other tree under 1.2 KiB.
+inline constexpr std::uint64_t kLinMinArenaBytes = 24ull << 10;
+
 /// One linearizability run, fully specified and replayable.
 struct LinSpec {
   /// Registry slug of the tree under test.
@@ -140,7 +148,10 @@ struct LinSpec {
       } else if (key == "wseed") {
         if (!parse_lin_u64(val, &spec.workload_seed)) return std::nullopt;
       } else if (key == "arena") {
-        if (!parse_lin_u64(val, &spec.arena_bytes)) return std::nullopt;
+        if (!parse_lin_u64(val, &spec.arena_bytes) ||
+            spec.arena_bytes < kLinMinArenaBytes) {
+          return std::nullopt;
+        }
       } else if (key == "sched") {
         auto p = sim::SchedulePolicy::parse(val);
         if (!p) return std::nullopt;

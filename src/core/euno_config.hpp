@@ -19,21 +19,13 @@ struct EunoConfig {
   bool adaptive = false;      // +Adaptive: per-leaf contention bypass
 
   // ---- tuning ----
-  /// §4.2.4: a range query moves and sorts all of the leaf's records into
-  /// the reserved-keys buffer under the advisory lock, so "the sorted
-  /// results can be reused for consecutive scan operations". When false,
-  /// scans merge into a transient buffer that is freed immediately (cheaper
-  /// memory profile, no reuse).
-  bool scan_compacts = true;
   htm::RetryPolicy policy{};
   int sched_retries = 3;        // write-scheduler re-draw attempts (§4.2.2)
-  int near_full_pct = 50;       // pre-acquire split lock above this fill %
   std::uint32_t adapt_window = 32;        // ops per adaptive decision window
-  std::uint32_t adapt_high_pct = 15;      // >= this abort % → high contention
   std::uint64_t rebalance_threshold = ~0ull;  // deletes before auto-rebalance
 
   /// Reject configurations that would misbehave silently (negative retry
-  /// budgets, a zero-length adaptive window, percentages out of range).
+  /// budgets, a zero-length adaptive window).
   /// Tree constructors call this, so a bad config fails fast with a clear
   /// message instead of corrupting a run.
   void validate() const {
@@ -43,20 +35,10 @@ struct EunoConfig {
           "EunoConfig: sched_retries must be >= 0 (got " +
           std::to_string(sched_retries) + ")");
     }
-    if (near_full_pct < 0 || near_full_pct > 100) {
-      throw std::invalid_argument(
-          "EunoConfig: near_full_pct must be in [0, 100] (got " +
-          std::to_string(near_full_pct) + ")");
-    }
     if (adapt_window == 0) {
       throw std::invalid_argument(
           "EunoConfig: adapt_window must be nonzero (a zero-op adaptive "
           "decision window can never fire)");
-    }
-    if (adapt_high_pct > 100) {
-      throw std::invalid_argument(
-          "EunoConfig: adapt_high_pct must be <= 100 (got " +
-          std::to_string(adapt_high_pct) + ")");
     }
   }
 
@@ -68,7 +50,6 @@ struct EunoConfig {
     c.adaptive = false;
     return c;
   }
-  static EunoConfig part_leaf() { return split_only(); }  // S chosen by caller
   static EunoConfig with_lockbits() {
     EunoConfig c = split_only();
     c.ccm_lockbits = true;

@@ -14,11 +14,11 @@
 //     the previous draw).
 //
 // All of it operates on the PartitionedLeaf layout in
-// trees/node/partitioned.hpp; the tree algorithms composing over this policy
-// live in trees/algo/euno_bptree.hpp and trees/algo/euno_skiplist.hpp. What
-// stays here vs. in the algorithm layer follows one rule: anything that is a
-// *policy decision* about when/how to synchronize (CCM, adaptivity,
-// scheduling, seqno validation) is here; anything that moves records is not.
+// trees/node/partitioned.hpp; the tree algorithm composing over this policy
+// lives in trees/algo/euno_bptree.hpp. What stays here vs. in the algorithm
+// layer follows one rule: anything that is a *policy decision* about
+// when/how to synchronize (CCM, adaptivity, scheduling, seqno validation) is
+// here; anything that moves records is not.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +47,10 @@ class EunoHtmPolicy {
   }
 
   const core::EunoConfig& config() const { return cfg_; }
+
+  /// A decision window whose aborts reach this percentage of its ops marks
+  /// the leaf high-contention (CCM on); below it the leaf bypasses the CCM.
+  static constexpr std::uint32_t kAdaptHighPct = 15;
 
   // ---- the two HTM regions (Algorithm 2) ----
 
@@ -176,7 +180,7 @@ class EunoHtmPolicy {
       const std::uint32_t aborts = c.atomic_load(leaf->win_aborts);
       c.atomic_store(leaf->win_ops, 0u);
       c.atomic_store(leaf->win_aborts, 0u);
-      const bool high = aborts * 100 >= cfg_.adapt_window * cfg_.adapt_high_pct;
+      const bool high = aborts * 100 >= cfg_.adapt_window * kAdaptHighPct;
       const std::uint32_t prev = c.atomic_load(leaf->mode);
       if (prev != (high ? 0u : 1u)) {
         c.note_event(high ? ctx::TraceCode::kAdaptiveToFull

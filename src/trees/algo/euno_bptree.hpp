@@ -787,23 +787,20 @@ class EunoBPTree {
 
   // ---- scan helper ----
 
-  /// §4.2.4: under the advisory lock, move and sort the leaf's records.
-  /// With scan_compacts the result lands in the reserved-keys buffer —
-  /// segments are cleared and consecutive scans reuse the sorted layout
-  /// (the fast path). Otherwise a transient buffer is used and freed at
-  /// commit.
+  /// §4.2.4: under the advisory lock, move and sort the leaf's records into
+  /// the reserved-keys buffer and clear the segments, so consecutive scans
+  /// reuse the sorted layout (the fast path). A leaf holding more live
+  /// records than the buffer fits merges into a transient buffer instead,
+  /// freed at commit.
   void scan_leaf(Ctx& c, Leaf* leaf, Key start, std::size_t max_items, KV* out,
                  std::size_t* got) {
     // Fast path: a previously-compacted leaf (all records already sorted in
     // reserved keys, segments empty) is read out directly.
-    if (cfg().scan_compacts &&
-        node::scan_fast_path(c, leaf, start, max_items, out, got)) {
-      return;
-    }
+    if (node::scan_fast_path(c, leaf, start, max_items, out, got)) return;
     auto all = node::gather_sorted(c, leaf);
     if (all.empty()) return;
 
-    if (cfg().scan_compacts && all.size() <= static_cast<std::size_t>(F)) {
+    if (all.size() <= static_cast<std::size_t>(F)) {
       // Paper behaviour: stash the sorted records in reserved keys, clear
       // the segments, emit from the compacted buffer.
       Reserved* res = c.read(leaf->reserved);
@@ -820,8 +817,8 @@ class EunoBPTree {
       return;
     }
 
-    // Transient-buffer variant (also taken when the live count exceeds the
-    // reserved capacity): allocated for the scan, freed at commit.
+    // The live count exceeds the reserved capacity: a transient buffer,
+    // allocated for the scan, freed at commit.
     auto* transient = static_cast<Reserved*>(c.alloc(
         sizeof(Reserved) * 2, MemClass::kReservedKeys, sim::LineKind::kRecord));
     auto* trecs = reinterpret_cast<Record*>(transient);

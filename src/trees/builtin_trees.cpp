@@ -1,6 +1,8 @@
 // Registration of every built-in tree: CLI slug, display name (the
 // exact strings manifests and golden fixtures compare), capability flags and
-// the type-erased factories over both contexts.
+// the type-erased factories over both contexts. register_builtin_trees runs
+// when the registry is constructed, so the builtins always come first, in
+// this order, ahead of any EUNO_REGISTER_TREE entry from another TU.
 //
 // The factories reproduce the construction the driver's old hand-rolled
 // dispatch switch performed, so dispatching through the registry is
@@ -11,7 +13,6 @@
 
 #include "ctx/native_ctx.hpp"
 #include "ctx/sim_ctx.hpp"
-#include "trees/algo/euno_skiplist.hpp"
 #include "trees/trees.hpp"
 
 namespace euno::trees {
@@ -66,16 +67,6 @@ std::unique_ptr<AnyTree<Ctx>> make_three_path_bptree(Ctx& c,
   opt.policy = o.policy;
   return std::make_unique<AnyTreeOf<Ctx, Tree>>(
       c, [&](Ctx& cc) { return Tree(cc, opt); });
-}
-
-template <class Ctx>
-std::unique_ptr<AnyTree<Ctx>> make_euno_skiplist(Ctx& c,
-                                                 const TreeBuildOptions& o) {
-  using Tree = algo::EunoSkipList<Ctx, 16, 4>;
-  core::EunoConfig cfg = core::EunoConfig::full();
-  cfg.policy = o.policy;
-  return std::make_unique<AnyTreeOf<Ctx, Tree>>(
-      c, [&](Ctx& cc) { return Tree(cc, cfg); });
 }
 
 // ---- bytes-domain trees ----
@@ -186,116 +177,111 @@ TreeCaps figure_caps() {
   return caps;
 }
 
-}  // namespace
-
-EUNO_REGISTER_TREE(htm_bptree, TreeEntry{
-    "htm-bptree", "HTM-B+Tree", figure_caps(),
-    &make_htm_bptree<ctx::SimCtx>, &make_htm_bptree<ctx::NativeCtx>});
-
-EUNO_REGISTER_TREE(masstree, TreeEntry{
-    "masstree", "Masstree",
-    [] {
-      TreeCaps c = figure_caps();
-      c.has_global_fallback = false;  // plain OLC never touches the lock
-      return c;
-    }(),
-    &make_olc_bptree<ctx::SimCtx, false>,
-    &make_olc_bptree<ctx::NativeCtx, false>});
-
-EUNO_REGISTER_TREE(htm_masstree, TreeEntry{
-    "htm-masstree", "HTM-Masstree", figure_caps(),
-    &make_olc_bptree<ctx::SimCtx, true>,
-    &make_olc_bptree<ctx::NativeCtx, true>});
-
-EUNO_REGISTER_TREE(euno, TreeEntry{
-    "euno", "Euno-B+Tree", figure_caps(),
-    &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::full>,
-    &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::full>});
-
-EUNO_REGISTER_TREE(euno_split, TreeEntry{
-    "euno-split", "+Split HTM", TreeCaps{},
-    &make_euno_bptree<ctx::SimCtx, 1, &core::EunoConfig::split_only>,
-    &make_euno_bptree<ctx::NativeCtx, 1, &core::EunoConfig::split_only>});
-
-EUNO_REGISTER_TREE(euno_part, TreeEntry{
-    "euno-part", "+Part Leaf", TreeCaps{},
-    &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::split_only>,
-    &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::split_only>});
-
-EUNO_REGISTER_TREE(euno_lockbits, TreeEntry{
-    "euno-lockbits", "+CCM lockbits", TreeCaps{},
-    &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::with_lockbits>,
-    &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::with_lockbits>});
-
-EUNO_REGISTER_TREE(euno_markbits, TreeEntry{
-    "euno-markbits", "+CCM markbits", TreeCaps{},
-    &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::with_markbits>,
-    &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::with_markbits>});
-
-EUNO_REGISTER_TREE(euno_adaptive, TreeEntry{
-    "euno-adaptive", "+Adaptive", TreeCaps{},
-    &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::full>,
-    &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::full>});
-
-// Post-refactor structures, registered after the original nine so the
-// pre-existing listing/sweep order (and with it the golden manifests for
-// those trees) is untouched.
-
-EUNO_REGISTER_TREE(euno_skiplist, TreeEntry{
-    "euno-skiplist", "Euno-SkipList", figure_caps(),
-    &make_euno_skiplist<ctx::SimCtx>, &make_euno_skiplist<ctx::NativeCtx>});
-
-EUNO_REGISTER_TREE(lock_bptree, TreeEntry{
-    "lock-bptree", "Lock-B+Tree",
-    [] { TreeCaps c; c.has_global_fallback = false; return c; }(),
-    &make_lock_bptree<ctx::SimCtx>, &make_lock_bptree<ctx::NativeCtx>});
-
-EUNO_REGISTER_TREE(rcu_bptree, TreeEntry{
-    "rcu-bptree", "RCU-HTM-B+Tree", figure_caps(),
-    &make_rcu_bptree<ctx::SimCtx>, &make_rcu_bptree<ctx::NativeCtx>});
-
-EUNO_REGISTER_TREE(three_path_bptree, TreeEntry{
-    "3path-bptree", "3Path-B+Tree",
-    // The three-path template takes the global lock only in its terminal
-    // (stage-2) degradation mode, never on the generic op path.
-    [] { TreeCaps c = figure_caps(); c.has_global_fallback = false; return c; }(),
-    &make_three_path_bptree<ctx::SimCtx>,
-    &make_three_path_bptree<ctx::NativeCtx>});
-
-// Bytes-domain trees, registered last (same listing-order argument as
-// above). Not in the default figure sweeps — fig_common's four-tree u64
-// figures stay as-is; the scan-heavy bytes figures (bench/fig_scan) select
-// by key_domain. The lin harness checks them through the u64 codec above.
-namespace {
 TreeCaps str_caps(bool has_fallback) {
   TreeCaps c;
   c.has_global_fallback = has_fallback;
   c.key_domain = KeyDomain::kBytes;
   return c;
 }
+
 }  // namespace
 
-EUNO_REGISTER_TREE(str_htm_bptree, TreeEntry{
-    "str-htm-bptree", "Str-HTM-B+Tree", str_caps(true),
-    &make_str_codec<ctx::SimCtx, StrHtmBPTree>,
-    &make_str_codec<ctx::NativeCtx, StrHtmBPTree>,
-    &make_str_tree<ctx::SimCtx, StrHtmBPTree>,
-    &make_str_tree<ctx::NativeCtx, StrHtmBPTree>});
+void register_builtin_trees(TreeRegistry& reg) {
+  reg.add(TreeEntry{
+      "htm-bptree", "HTM-B+Tree", figure_caps(),
+      &make_htm_bptree<ctx::SimCtx>, &make_htm_bptree<ctx::NativeCtx>});
 
-EUNO_REGISTER_TREE(str_masstree, TreeEntry{
-    "str-masstree", "Str-Masstree", str_caps(false),
-    &make_str_codec<ctx::SimCtx, StrMasstree>,
-    &make_str_codec<ctx::NativeCtx, StrMasstree>,
-    &make_str_tree<ctx::SimCtx, StrMasstree>,
-    &make_str_tree<ctx::NativeCtx, StrMasstree>});
+  reg.add(TreeEntry{
+      "masstree", "Masstree",
+      [] {
+        TreeCaps c = figure_caps();
+        c.has_global_fallback = false;  // plain OLC never touches the lock
+        return c;
+      }(),
+      &make_olc_bptree<ctx::SimCtx, false>,
+      &make_olc_bptree<ctx::NativeCtx, false>});
 
-EUNO_REGISTER_TREE(str_lock_bptree, TreeEntry{
-    "str-lock-bptree", "Str-Lock-B+Tree", str_caps(false),
-    &make_str_codec<ctx::SimCtx, StrLockBPTree>,
-    &make_str_codec<ctx::NativeCtx, StrLockBPTree>,
-    &make_str_tree<ctx::SimCtx, StrLockBPTree>,
-    &make_str_tree<ctx::NativeCtx, StrLockBPTree>});
+  reg.add(TreeEntry{
+      "htm-masstree", "HTM-Masstree", figure_caps(),
+      &make_olc_bptree<ctx::SimCtx, true>,
+      &make_olc_bptree<ctx::NativeCtx, true>});
 
-void anchor_builtin_trees() {}
+  reg.add(TreeEntry{
+      "euno", "Euno-B+Tree", figure_caps(),
+      &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::full>,
+      &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::full>});
+
+  reg.add(TreeEntry{
+      "euno-split", "+Split HTM", TreeCaps{},
+      &make_euno_bptree<ctx::SimCtx, 1, &core::EunoConfig::split_only>,
+      &make_euno_bptree<ctx::NativeCtx, 1, &core::EunoConfig::split_only>});
+
+  reg.add(TreeEntry{
+      "euno-part", "+Part Leaf", TreeCaps{},
+      &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::split_only>,
+      &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::split_only>});
+
+  reg.add(TreeEntry{
+      "euno-lockbits", "+CCM lockbits", TreeCaps{},
+      &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::with_lockbits>,
+      &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::with_lockbits>});
+
+  reg.add(TreeEntry{
+      "euno-markbits", "+CCM markbits", TreeCaps{},
+      &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::with_markbits>,
+      &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::with_markbits>});
+
+  reg.add(TreeEntry{
+      "euno-adaptive", "+Adaptive", TreeCaps{},
+      &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::full>,
+      &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::full>});
+
+  // Post-refactor structures, registered after the original nine so the
+  // pre-existing listing/sweep order (and with it the golden manifests for
+  // those trees) is untouched.
+
+  reg.add(TreeEntry{
+      "lock-bptree", "Lock-B+Tree",
+      [] { TreeCaps c; c.has_global_fallback = false; return c; }(),
+      &make_lock_bptree<ctx::SimCtx>, &make_lock_bptree<ctx::NativeCtx>});
+
+  reg.add(TreeEntry{
+      "rcu-bptree", "RCU-HTM-B+Tree", figure_caps(),
+      &make_rcu_bptree<ctx::SimCtx>, &make_rcu_bptree<ctx::NativeCtx>});
+
+  reg.add(TreeEntry{
+      "3path-bptree", "3Path-B+Tree",
+      // The three-path template takes the global lock only in its terminal
+      // (stage-2) degradation mode, never on the generic op path.
+      [] { TreeCaps c = figure_caps(); c.has_global_fallback = false; return c; }(),
+      &make_three_path_bptree<ctx::SimCtx>,
+      &make_three_path_bptree<ctx::NativeCtx>});
+
+  // Bytes-domain trees, registered last (same listing-order argument as
+  // above). Not in the default figure sweeps — fig_common's four-tree u64
+  // figures stay as-is; the scan-heavy bytes figures (bench/fig_scan) select
+  // by key_domain. The lin harness checks them through the u64 codec above.
+
+  reg.add(TreeEntry{
+      "str-htm-bptree", "Str-HTM-B+Tree", str_caps(true),
+      &make_str_codec<ctx::SimCtx, StrHtmBPTree>,
+      &make_str_codec<ctx::NativeCtx, StrHtmBPTree>,
+      &make_str_tree<ctx::SimCtx, StrHtmBPTree>,
+      &make_str_tree<ctx::NativeCtx, StrHtmBPTree>});
+
+  reg.add(TreeEntry{
+      "str-masstree", "Str-Masstree", str_caps(false),
+      &make_str_codec<ctx::SimCtx, StrMasstree>,
+      &make_str_codec<ctx::NativeCtx, StrMasstree>,
+      &make_str_tree<ctx::SimCtx, StrMasstree>,
+      &make_str_tree<ctx::NativeCtx, StrMasstree>});
+
+  reg.add(TreeEntry{
+      "str-lock-bptree", "Str-Lock-B+Tree", str_caps(false),
+      &make_str_codec<ctx::SimCtx, StrLockBPTree>,
+      &make_str_codec<ctx::NativeCtx, StrLockBPTree>,
+      &make_str_tree<ctx::SimCtx, StrLockBPTree>,
+      &make_str_tree<ctx::NativeCtx, StrLockBPTree>});
+}
 
 }  // namespace euno::trees

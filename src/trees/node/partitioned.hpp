@@ -1,6 +1,6 @@
 // Node/layout layer, partitioned variant: the Eunomia leaf (§4.1 Figure 4,
 // §4.2.2) and its interior node, shared by every tree built on the scattered
-// layout (Euno-B+Tree, the ablation rungs, Euno-SkipList):
+// layout (Euno-B+Tree and its ablation rungs):
 //
 //   - records live in S segments, each sorted internally, each on its own
 //     cache line(s) with its own count — concurrent inserts to one leaf

@@ -4,15 +4,8 @@
 
 namespace euno::trees {
 
-// Defined in builtin_trees.cpp. Referencing it from here forces the linker
-// to pull that archive member in, which runs its static TreeRegistrar
-// objects — the standard fix for self-registration inside a static library.
-void anchor_builtin_trees();
-
-TreeRegistry& TreeRegistry::instance() {
-  static TreeRegistry reg;
-  return reg;
-}
+// Defined in builtin_trees.cpp.
+void register_builtin_trees(TreeRegistry& reg);
 
 void TreeRegistry::add(TreeEntry e) {
   EUNO_ASSERT_MSG(!e.name.empty() && !e.display.empty(),
@@ -30,12 +23,16 @@ const TreeEntry* TreeRegistry::by_name(const std::string& name) const {
 }
 
 TreeRegistry& tree_registry() {
-  anchor_builtin_trees();
-  return TreeRegistry::instance();
+  // The builtins are added while the registry is built, so they precede any
+  // EUNO_REGISTER_TREE entry whatever the static-initialization order.
+  static TreeRegistry reg = [] {
+    TreeRegistry r;
+    register_builtin_trees(r);
+    return r;
+  }();
+  return reg;
 }
 
-TreeRegistrar::TreeRegistrar(TreeEntry e) {
-  TreeRegistry::instance().add(std::move(e));
-}
+TreeRegistrar::TreeRegistrar(TreeEntry e) { tree_registry().add(std::move(e)); }
 
 }  // namespace euno::trees

@@ -172,8 +172,6 @@ struct TreeEntry {
 
 class TreeRegistry {
  public:
-  static TreeRegistry& instance();
-
   /// Registers one tree. Duplicate names assert: the slug is the tree's one
   /// identity (CLI, specs, replay strings), so a collision is a bug.
   void add(TreeEntry e);
@@ -187,9 +185,9 @@ class TreeRegistry {
   std::vector<TreeEntry> entries_;
 };
 
-/// The one registry, with the built-in trees guaranteed registered. Always
-/// use this accessor (not TreeRegistry::instance() directly): it anchors the
-/// builtin registration TU so a static-library link can't drop it.
+/// The one registry. It is built on first use with the builtin trees
+/// (builtin_trees.cpp) already in it, so entries() always starts with the
+/// builtins in their fixed order and EUNO_REGISTER_TREE entries follow.
 TreeRegistry& tree_registry();
 
 /// Static-initialization helper behind EUNO_REGISTER_TREE.
@@ -197,10 +195,10 @@ struct TreeRegistrar {
   explicit TreeRegistrar(TreeEntry e);
 };
 
-/// Registers a tree at static-initialization time:
+/// Registers a tree at static-initialization time, after the builtins:
 ///   EUNO_REGISTER_TREE(my_tree, TreeEntry{...});
-/// TUs outside the euno_trees library must additionally be anchored (linked
-/// object files are enough; archive members need a referenced symbol).
+/// The TU must be linked as an object file: an archive member nothing
+/// references is dropped, and its entries with it.
 #define EUNO_REGISTER_TREE(ident, ...) \
   static const ::euno::trees::TreeRegistrar euno_tree_registrar_##ident{__VA_ARGS__}
 

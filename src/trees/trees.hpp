@@ -76,9 +76,7 @@ using ThreePathBPTree = algo::BPlusTree<Ctx, sync::ThreePathPolicy<Ctx>, F>;
 // module, adaptive concurrency control). The S-segment partitioned leaf
 // lives in trees/node/partitioned.hpp and the Eunomia policy (upper/lower
 // regions, seqno stitch validation, CCM bits, adaptive bypass) in
-// sync/euno_htm.hpp. The same policy and layout also back the Euno-SkipList
-// (trees/algo/euno_skiplist.hpp): the Eunomia scheme is a reusable
-// synchronization pattern, not a B+Tree implementation detail.
+// sync/euno_htm.hpp.
 template <class Ctx, int F = kDefaultFanout, int S = 4>
 using EunoBPTree = algo::EunoBPTree<Ctx, F, S>;
 

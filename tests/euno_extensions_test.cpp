@@ -182,9 +182,7 @@ TEST(EunoStats, BypassModeVisibleInStats) {
 TEST(EunoScanCompaction, ScanMovesRecordsIntoReserved) {
   ctx::NativeEnv env;
   ctx::NativeCtx c(env, 0);
-  core::EunoConfig cfg = EunoConfig::full();
-  cfg.scan_compacts = true;
-  EunoBPTree<ctx::NativeCtx> tree(c, cfg);
+  EunoBPTree<ctx::NativeCtx> tree(c, EunoConfig::full());
   // A single leaf with records scattered across segments (no split yet):
   // the canonical compactable case.
   for (Key k = 0; k < 12; ++k) tree.put(c, k * 7, k);
@@ -207,19 +205,28 @@ TEST(EunoScanCompaction, ScanMovesRecordsIntoReserved) {
   tree.destroy(c);
 }
 
-TEST(EunoScanCompaction, TransientVariantLeavesSegmentsAlone) {
+TEST(EunoScanCompaction, OverfullLeafScansThroughTransientBuffer) {
   ctx::NativeEnv env;
   ctx::NativeCtx c(env, 0);
-  core::EunoConfig cfg = EunoConfig::full();
-  cfg.scan_compacts = false;
-  EunoBPTree<ctx::NativeCtx> tree(c, cfg);
-  Xoshiro256 rng(6);
-  for (int i = 0; i < 500; ++i) tree.put(c, rng.next_bounded(2000), 1);
-  const auto before = tree.collect_stats();
+  EunoBPTree<ctx::NativeCtx> tree(c, EunoConfig::full());
+  constexpr Key kF = trees::kDefaultFanout;
+  // Fill one leaf's reserved buffer through a compacting scan, then add
+  // records to its segments: the leaf now holds more live records than the
+  // reserved buffer fits, so the next scan cannot compact it.
+  for (Key k = 0; k < kF - 1; ++k) tree.put(c, 2 * k, k);
   std::vector<KV> buf(4096);
   (void)tree.scan(c, 0, buf.size(), buf.data());
+  for (Key k = 0; k < 3; ++k) tree.put(c, 2 * k + 1, k);
+  const auto before = tree.collect_stats();
+  ASSERT_EQ(before.leaves, 1u);
+  ASSERT_GT(before.live_records, static_cast<std::size_t>(kF));
+  ASSERT_GT(before.records_in_segments, 0u);
+  const std::size_t n = tree.scan(c, 0, buf.size(), buf.data());
+  EXPECT_EQ(n, before.live_records);
+  for (std::size_t i = 1; i < n; ++i) EXPECT_LT(buf[i - 1].first, buf[i].first);
   const auto after = tree.collect_stats();
   EXPECT_EQ(after.records_in_segments, before.records_in_segments);
+  EXPECT_EQ(after.records_in_reserved, before.records_in_reserved);
   tree.check_invariants();
   tree.destroy(c);
 }

@@ -3,12 +3,10 @@
 // run_figure_sweep (every figure binary routes its spec list through it).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "fig_common.hpp"
-#include "trees/registry.hpp"
 
 namespace euno {
 namespace {
@@ -161,18 +159,12 @@ TEST(FigCommon, SweepHelpers) {
   EXPECT_EQ(thetas.front(), 0.0);
   EXPECT_EQ(thetas.back(), 0.99);
 
-  // The default figure sweep is exactly the registry's figure_default set:
-  // the paper's four trees plus the post-refactor Euno-SkipList and the two
-  // alternative-design policies (RCU-HTM and the three-path template).
-  const auto slugs = bench::figure_trees();
-  std::size_t expected = 0;
-  for (const auto& e : trees::tree_registry().entries()) {
-    if (e.caps.figure_default) ++expected;
-  }
-  EXPECT_EQ(slugs.size(), expected);
-  EXPECT_EQ(slugs.size(), 7u);
-  EXPECT_NE(std::find(slugs.begin(), slugs.end(), "euno-skiplist"),
-            slugs.end());
+  // The default figure sweep: the paper's four trees plus the two
+  // alternative-design policies (RCU-HTM and the three-path template), in
+  // registry order.
+  EXPECT_EQ(bench::figure_trees(),
+            (std::vector<std::string>{"htm-bptree", "masstree", "htm-masstree",
+                                      "euno", "rcu-bptree", "3path-bptree"}));
 }
 
 TEST(FigCommon, FigureSpecHonorsArgs) {

@@ -85,7 +85,7 @@ std::vector<LinSpec> lin_params() {
   // hair-trigger health monitor must flip each HTM-using tree to lock-only
   // mid-run without the history ceasing to linearize.
   for (const char* kind : {"htm-bptree", "htm-masstree", "euno-s2-markbits",
-                           "euno-markbits", "euno-skiplist", "rcu-bptree"}) {
+                           "euno-markbits", "rcu-bptree"}) {
     LinSpec s;
     s.kind = kind;
     s.degrade = true;
@@ -189,19 +189,44 @@ TEST(LinDeterminism, SpecStringRoundTrips) {
 // Replay strings that used to crash the run or silently misreport it: an
 // empty key range (the workload draws from [0, 0)), more fibers than
 // simulated cores, integers with trailing characters (atoi read "3x" as 3),
-// and names that are not registry slugs. All of them must be rejected.
+// names that are not registry slugs, and arenas no tree fits in (arena=0
+// failed the mmap, the others ran out mid-preload). All of them must be
+// rejected.
 TEST(LinDeterminism, SpecStringRejectsMalformedFields) {
+  const std::string below_floor =
+      "arena=" + std::to_string(check::kLinMinArenaBytes - 1);
   for (const char* bad :
        {"keys=0", "threads=33", "threads=3x", "ops=9x", "keys=16k",
         "preload=8p", "wseed=1z", "arena=64M", "degrade=yes", "kind=EunoS4",
-        "kind=Baseline"}) {
+        "kind=Baseline", "arena=0", "arena=1", "arena=64", "arena=1024",
+        below_floor.c_str()}) {
     EXPECT_FALSE(LinSpec::parse(bad).has_value()) << bad;
   }
   // The bounds themselves stay valid.
-  const auto edge = LinSpec::parse("kind=euno-markbits;threads=32;keys=1");
+  const auto edge = LinSpec::parse(
+      "kind=euno-markbits;threads=32;keys=1;arena=" +
+      std::to_string(check::kLinMinArenaBytes));
   ASSERT_TRUE(edge.has_value());
   EXPECT_EQ(edge->threads, 32);
   EXPECT_EQ(edge->key_range, 1u);
+  EXPECT_EQ(edge->arena_bytes, check::kLinMinArenaBytes);
+}
+
+// The sweep above follows registry order. This binary adds the checker-only
+// Euno variants from a test TU, whose static initializers may run before the
+// library's; the registry still lists every builtin first, in its fixed
+// order, and the variants after them.
+TEST(LinRegistry, BuiltinsComeFirstAndCheckerVariantsLast) {
+  std::vector<std::string> names;
+  for (const auto& e : trees::tree_registry().entries()) names.push_back(e.name);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "htm-bptree", "masstree", "htm-masstree", "euno",
+                       "euno-split", "euno-part", "euno-lockbits",
+                       "euno-markbits", "euno-adaptive", "lock-bptree",
+                       "rcu-bptree", "3path-bptree", "str-htm-bptree",
+                       "str-masstree", "str-lock-bptree", "euno-s1-markbits",
+                       "euno-s2-markbits", "euno-s8-markbits",
+                       "euno-s2-adaptive"}));
 }
 
 // Bounded systematic exploration of a tiny configuration: 2 fibers, a few

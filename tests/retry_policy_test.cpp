@@ -112,12 +112,6 @@ TEST(EunoConfigValidate, RejectsBadTuning) {
   cfg.sched_retries = -1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = core::EunoConfig{};
-  cfg.near_full_pct = 101;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = core::EunoConfig{};
-  cfg.adapt_high_pct = 200;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = core::EunoConfig{};
   cfg.policy.conflict_retries = -5;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   EXPECT_NO_THROW(core::EunoConfig::full().validate());
