@@ -11,6 +11,8 @@
 //   lin_explore --mode=sys --trees=euno-s2-markbits --threads=2 --ops=3
 //   lin_explore --replay='kind=euno-markbits;pattern=splitrace;...;sched=rand,seed=9'
 //   lin_explore --history=hist.json   # dump euno.history.v1 for validation
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -30,8 +32,8 @@ using euno::check::ExploreOptions;
 using euno::check::LinPattern;
 using euno::check::LinRun;
 using euno::check::LinSpec;
-using euno::check::parse_lin_u64;
 using euno::check::ScheduleExplorer;
+using euno::parse_decimal_u64;
 using euno::sim::SchedulePolicy;
 
 struct Options {
@@ -105,36 +107,37 @@ Options parse(int argc, char** argv) {
       else if (val == "sys") o.mode = SchedulePolicy::Mode::kSystematic;
       else if (val == "det") o.mode = SchedulePolicy::Mode::kDeterministic;
       else usage_and_exit(argv[i]);
-    } else if (key == "--seeds" && parse_lin_u64(val, &n)) {
+    } else if (key == "--seeds" && parse_decimal_u64(val, &n)) {
       o.seeds = n;
-    } else if (key == "--seed0" && parse_lin_u64(val, &n)) {
+    } else if (key == "--seed0" && parse_decimal_u64(val, &n)) {
       o.seed0 = n;
-    } else if (key == "--preempt" && parse_lin_u64(val, &n) && n <= 100) {
+    } else if (key == "--preempt" && parse_decimal_u64(val, &n) && n <= 100) {
       o.preempt = static_cast<std::uint32_t>(n);
     } else if (key == "--txpreempt" && eq == std::string::npos) {
       o.txpreempt = true;
-    } else if (key == "--storm" && parse_lin_u64(val, &n) && n <= 100) {
+    } else if (key == "--storm" && parse_decimal_u64(val, &n) && n <= 100) {
       o.storm = static_cast<std::uint32_t>(n);
-    } else if (key == "--threads" && parse_lin_u64(val, &n) && n >= 1 &&
+    } else if (key == "--threads" && parse_decimal_u64(val, &n) && n >= 1 &&
                n <= static_cast<std::uint64_t>(
                         euno::sim::MachineConfig::kMaxCores)) {
       o.threads = static_cast<int>(n);
-    } else if (key == "--ops" && parse_lin_u64(val, &n)) {
+    } else if (key == "--ops" && parse_decimal_u64(val, &n) && n <= INT_MAX) {
       o.ops = static_cast<int>(n);
-    } else if (key == "--keys" && parse_lin_u64(val, &n) && n >= 1) {
+    } else if (key == "--keys" && parse_decimal_u64(val, &n) && n >= 1) {
       o.keys = n;
-    } else if (key == "--preload" && parse_lin_u64(val, &n)) {
+    } else if (key == "--preload" && parse_decimal_u64(val, &n)) {
       o.preload = n;
-    } else if (key == "--wseed" && parse_lin_u64(val, &n)) {
+    } else if (key == "--wseed" && parse_decimal_u64(val, &n)) {
       o.wseed = n;
-    } else if (key == "--budget" && parse_lin_u64(val, &n)) {
+    } else if (key == "--budget" && parse_decimal_u64(val, &n) &&
+               n <= UINT32_MAX) {
       o.budget = static_cast<std::uint32_t>(n);
-    } else if (key == "--max-schedules" && parse_lin_u64(val, &n)) {
+    } else if (key == "--max-schedules" && parse_decimal_u64(val, &n)) {
       o.max_schedules = n;
     } else if (key == "--jobs") {
       if (val == "auto") {
         o.jobs = euno::driver::default_jobs();
-      } else if (parse_lin_u64(val, &n) && n >= 1) {
+      } else if (parse_decimal_u64(val, &n) && n >= 1) {
         o.jobs = static_cast<int>(n);
       } else {
         usage_and_exit(argv[i]);

@@ -23,7 +23,7 @@ import sys
 
 # Conditional result keys: the manifest writer emits these only when nonzero
 # (the first five exist solely for the multi-path / copy-on-write policies,
-# e.g. rcu-bptree and 3path-bptree; the last four are the sharded store's
+# e.g. 3path-bptree; the last four are the sharded store's
 # robustness counters, emitted as a group whenever any is nonzero). A
 # pre-existing golden was generated before these counters existed, so the
 # produced manifest must not contain any conditional key the golden lacks —

@@ -26,18 +26,19 @@
 # The tsan job rebuilds with -DEUNO_TSAN=ON and runs the `parallel` label
 # (the OS-thread sweep runner), the `lin` label (the linearizability suite,
 # whose lin_explore fixture fans runs out across threads via --jobs), and
-# the `conformance` label, whose native concurrent stresses now cover the
-# epoch-reclaiming rcu-bptree and announce-word three-path policies — both
-# built on cross-thread handshakes TSan can audit directly.
+# the `conformance` label, whose native concurrent stresses cover the
+# announce-word three-path policy — built on cross-thread handshakes TSan can
+# audit directly.
 # The asan job rebuilds with -DEUNO_ASAN=ON and runs the `fault` label (the
-# HTM fault-injection campaigns, the hardened retry/fallback paths — including
-# retry_loop_test, the shared retry loop driven through a scripted RTM
-# backend, so the native RTM branch runs under both ASan and UBSan — and the
-# RCU reclamation battery whose native soak makes a premature free a real
-# heap use-after-free — exactly what ASan exists to catch) plus the `store`
-# label, whose native multi-threaded soak drives per-shard epoch domains
-# concurrently — a cross-domain reclamation bug frees memory a reader in
-# another shard still holds, which ASan turns into a hard failure.
+# HTM fault-injection campaigns and the hardened retry/fallback paths —
+# including retry_loop_test, the shared retry loop driven through a scripted
+# RTM backend, so the native RTM branch runs under both ASan and UBSan). The
+# native epoch-deferred frees run under ASan in two labels, where a premature
+# free is a real heap use-after-free — exactly what ASan exists to catch:
+# `store`, whose native multi-threaded soak drives per-shard epoch domains
+# concurrently (a cross-domain reclamation bug frees memory a reader in
+# another shard still holds), and `strkey` (below), whose native string-tree
+# stresses retire suffix boxes under concurrent readers.
 # The asan and ubsan jobs also run the `driver` label: driver_test, which
 # takes the experiment runner through every backend × target × key-codec
 # path (sim and native, single tree and sharded store, u64 and string keys),

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -30,6 +29,7 @@
 #include "sim/schedule.hpp"
 #include "trees/registry.hpp"
 #include "util/assert.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace euno::check {
@@ -48,21 +48,13 @@ inline const char* lin_pattern_name(LinPattern p) {
   return p == LinPattern::kUniformMix ? "mix" : "splitrace";
 }
 
-/// Strict decimal parse for spec fields: the whole token must be digits, so
-/// a mistyped replay string is rejected instead of running a different spec.
-inline bool parse_lin_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return end == s.c_str() + s.size();
-}
-
 /// Smallest simulated arena a replay string may ask for. Below it no
 /// registered tree completes even the default LinSpec: the run aborts on a
 /// failed arena mmap (arena=0) or on arena exhaustion mid-run, where a bad
 /// replay should be a usage error. Measured by bisecting `arena=` per slug
-/// on the default spec: rcu-bptree needs the most (24321 bytes), the str-*
-/// trees about 3.7 KiB and every other tree under 1.2 KiB.
+/// on the default spec: the str-* trees need the most (3713 bytes) and every
+/// other tree at most 1153. The floor sits well above that so a tree whose
+/// default run grows a little still fits.
 inline constexpr std::uint64_t kLinMinArenaBytes = 24ull << 10;
 
 /// One linearizability run, fully specified and replayable.
@@ -130,25 +122,25 @@ struct LinSpec {
         else return std::nullopt;
       } else if (key == "threads") {
         // One fiber per simulated core.
-        if (!parse_lin_u64(val, &n) || n < 1 ||
+        if (!parse_decimal_u64(val, &n) || n < 1 ||
             n > static_cast<std::uint64_t>(sim::MachineConfig::kMaxCores)) {
           return std::nullopt;
         }
         spec.threads = static_cast<int>(n);
       } else if (key == "ops") {
-        if (!parse_lin_u64(val, &n) || n > INT_MAX) return std::nullopt;
+        if (!parse_decimal_u64(val, &n) || n > INT_MAX) return std::nullopt;
         spec.ops_per_thread = static_cast<int>(n);
       } else if (key == "keys") {
         // kUniformMix draws keys from [0, keys): an empty range is no run.
-        if (!parse_lin_u64(val, &spec.key_range) || spec.key_range == 0) {
+        if (!parse_decimal_u64(val, &spec.key_range) || spec.key_range == 0) {
           return std::nullopt;
         }
       } else if (key == "preload") {
-        if (!parse_lin_u64(val, &spec.preload)) return std::nullopt;
+        if (!parse_decimal_u64(val, &spec.preload)) return std::nullopt;
       } else if (key == "wseed") {
-        if (!parse_lin_u64(val, &spec.workload_seed)) return std::nullopt;
+        if (!parse_decimal_u64(val, &spec.workload_seed)) return std::nullopt;
       } else if (key == "arena") {
-        if (!parse_lin_u64(val, &spec.arena_bytes) ||
+        if (!parse_decimal_u64(val, &spec.arena_bytes) ||
             spec.arena_bytes < kLinMinArenaBytes) {
           return std::nullopt;
         }

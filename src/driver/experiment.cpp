@@ -68,11 +68,9 @@ void aggregate_stats(const ctx::SiteStats& s, ExperimentResult* r) {
   r->starvation_escapes += t.starvation_escapes;
   r->degradations += t.degradations;
   r->unsubscribed_attempts += t.unsubscribed_attempts;
-  r->validation_failures += t.validation_failures;
   r->middle_attempts += t.middle_attempts;
   r->middle_commits += t.middle_commits;
   r->slow_path_ops += t.slow_path_ops;
-  r->epoch_retired += t.epoch_retired;
   r->deadline_exceeded += t.deadline_exceeded;
 }
 

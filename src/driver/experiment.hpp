@@ -92,13 +92,11 @@ struct ExperimentResult {
   std::uint64_t starvation_escapes = 0;  // fairness-hatch trips to the lock
   std::uint64_t degradations = 0;        // HTM-health monitor lock-only flips
   std::uint64_t unsubscribed_attempts = 0;  // sim-only lock-timeout rescue
-  // Multi-path / copy-on-write policy accounting (rcu-bptree, 3path-bptree;
-  // zero — and absent from manifests — for every other policy).
-  std::uint64_t validation_failures = 0;  // RCU-HTM splice edge-set mismatches
+  // Three-path policy accounting (3path-bptree; zero — and absent from
+  // manifests — for every other policy).
   std::uint64_t middle_attempts = 0;      // three-path middle-path HTM attempts
   std::uint64_t middle_commits = 0;       // three-path middle-path commits
   std::uint64_t slow_path_ops = 0;        // ops completed on the slow path
-  std::uint64_t epoch_retired = 0;        // nodes handed to epoch reclamation
   // Sharded-store robustness accounting (src/store; zero — and absent from
   // manifests — unless the spec enables the store layer).
   std::uint64_t admitted_ops = 0;         // ops that passed the admission gate

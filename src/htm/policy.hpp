@@ -143,15 +143,17 @@ struct TxStats {
   std::uint64_t degradations = 0;        // HTM-health flips observed (the
                                          // flipping thread counts exactly one)
   std::uint64_t unsubscribed_attempts = 0;  // sim-only lock-timeout rescue
-  // ---- multi-path / copy-on-write policy accounting (sync/rcu_htm.hpp and
-  // sync/three_path.hpp; zero for every other policy, and their manifest keys
-  // are emitted only when nonzero so pre-existing goldens stay byte-identical)
-  std::uint64_t validation_failures = 0;  // RCU-HTM splice edge-set mismatches
+  // ---- three-path policy accounting (sync/three_path.hpp; zero for every
+  // other policy, and their manifest keys are emitted only when nonzero so
+  // pre-existing goldens stay byte-identical)
   std::uint64_t middle_attempts = 0;      // three-path middle-path HTM attempts
   std::uint64_t middle_commits = 0;       // three-path middle-path commits
   std::uint64_t slow_path_ops = 0;        // ops completed on the lock-free-style
                                           // slow path (announced, no HTM)
-  std::uint64_t epoch_retired = 0;        // nodes handed to epoch reclamation
+  // Nodes handed to epoch reclamation by a policy. No current policy counts
+  // any (the tree-level EpochManager keeps its own ledger); perfbench reports
+  // it as epoch.retired_per_op.
+  std::uint64_t epoch_retired = 0;
   // ---- deadline propagation (src/store; zero unless a deadline was armed
   // via Context::set_deadline, and the manifest key is conditional likewise)
   std::uint64_t deadline_exceeded = 0;    // txn() retry loops abandoned because
@@ -182,7 +184,6 @@ struct TxStats {
     starvation_escapes += o.starvation_escapes;
     degradations += o.degradations;
     unsubscribed_attempts += o.unsubscribed_attempts;
-    validation_failures += o.validation_failures;
     middle_attempts += o.middle_attempts;
     middle_commits += o.middle_commits;
     slow_path_ops += o.slow_path_ops;

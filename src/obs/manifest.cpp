@@ -259,17 +259,13 @@ void write_result(JsonWriter& w, const driver::ExperimentResult& r) {
   w.kv("starvation_escapes", r.starvation_escapes);
   w.kv("degradations", r.degradations);
   w.kv("unsubscribed_attempts", r.unsubscribed_attempts);
-  // Multi-path / copy-on-write policy counters are conditional keys: they
-  // are nonzero only for the policies that produce them (rcu-bptree,
-  // 3path-bptree), so manifests from every other tree — including every
-  // pre-existing golden fixture — stay byte-identical.
-  if (r.validation_failures != 0) {
-    w.kv("validation_failures", r.validation_failures);
-  }
+  // Three-path policy counters are conditional keys: they are nonzero only
+  // for the policy that produces them (3path-bptree), so manifests from
+  // every other tree — including every pre-existing golden fixture — stay
+  // byte-identical.
   if (r.middle_attempts != 0) w.kv("middle_attempts", r.middle_attempts);
   if (r.middle_commits != 0) w.kv("middle_commits", r.middle_commits);
   if (r.slow_path_ops != 0) w.kv("slow_path_ops", r.slow_path_ops);
-  if (r.epoch_retired != 0) w.kv("epoch_retired", r.epoch_retired);
   // Sharded-store robustness counters: conditional for the same reason.
   // admitted_ops keys the group (nonzero for any store run that admitted
   // anything); the zero-valued companions of a store run still matter for

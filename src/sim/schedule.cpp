@@ -1,7 +1,9 @@
 #include "sim/schedule.hpp"
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+
+#include "util/parse.hpp"
 
 namespace euno::sim {
 
@@ -14,15 +16,6 @@ const char* mode_tag(SchedulePolicy::Mode m) {
     case SchedulePolicy::Mode::kSystematic: return "sys";
   }
   return "det";
-}
-
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -96,21 +89,28 @@ std::optional<SchedulePolicy> SchedulePolicy::parse(const std::string& str) {
         std::size_t dot = val.find('.', cpos);
         if (dot == std::string::npos) dot = val.size();
         std::uint64_t c = 0;
-        if (!parse_u64(val.substr(cpos, dot - cpos), &c)) return std::nullopt;
+        if (!parse_decimal_u64(val.substr(cpos, dot - cpos), &c) ||
+            c > std::numeric_limits<std::uint32_t>::max()) {
+          return std::nullopt;
+        }
         p.choices.push_back(static_cast<std::uint32_t>(c));
         cpos = dot + 1;
         if (cpos > val.size()) break;
       }
       continue;
     }
-    if (!parse_u64(val, &v)) return std::nullopt;
+    if (!parse_decimal_u64(val, &v)) return std::nullopt;
     if (key == "seed") {
       p.seed = v;
     } else if (key == "preempt") {
+      // Percentages, bounded like lin_explore's --preempt/--storm flags.
+      if (v > 100) return std::nullopt;
       p.preempt_pct = static_cast<std::uint32_t>(v);
     } else if (key == "txp") {
-      p.preempt_on_tx_begin = v != 0;
+      if (v > 1) return std::nullopt;
+      p.preempt_on_tx_begin = v == 1;
     } else if (key == "storm") {
+      if (v > 100) return std::nullopt;
       p.abort_storm_pct = static_cast<std::uint32_t>(v);
     } else if (key == "steps") {
       p.max_steps = v;

@@ -7,6 +7,8 @@
 #include <cstring>
 #include <thread>
 
+#include "util/parse.hpp"
+
 namespace euno::stats {
 
 std::string Table::num(double v, int prec) {
@@ -82,13 +84,9 @@ constexpr const char* kUsage =
   std::exit(2);
 }
 
-/// Strict decimal parse: the whole token must be digits ("4x" is rejected,
-/// not truncated to 4).
 std::uint64_t parse_u64(const char* arg, const char* v) {
-  if (*v < '0' || *v > '9') usage_error(arg);  // no sign/whitespace/empty
-  char* end = nullptr;
-  const std::uint64_t n = std::strtoull(v, &end, 10);
-  if (*end != '\0') usage_error(arg);
+  std::uint64_t n = 0;
+  if (!parse_decimal_u64(v, &n)) usage_error(arg);
   return n;
 }
 

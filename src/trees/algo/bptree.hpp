@@ -860,7 +860,7 @@ class BPlusTree {
   Policy policy_;
   Shared* shared_ = nullptr;
   /// Bytes-domain epoch reclamation domain (one per tree instance, like
-  /// rcu_bptree's). Empty for direct-value domains.
+  /// Euno-B+Tree's). Empty for direct-value domains.
   [[no_unique_address]] std::conditional_t<Traits::kIndirect, EpochManager,
                                            NoReclaim> epoch_;
 };

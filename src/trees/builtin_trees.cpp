@@ -50,16 +50,6 @@ std::unique_ptr<AnyTree<Ctx>> make_lock_bptree(Ctx& c,
 }
 
 template <class Ctx>
-std::unique_ptr<AnyTree<Ctx>> make_rcu_bptree(Ctx& c,
-                                              const TreeBuildOptions& o) {
-  using Tree = RcuBPTree<Ctx>;
-  typename Tree::Options opt;
-  opt.policy = o.policy;
-  return std::make_unique<AnyTreeOf<Ctx, Tree>>(
-      c, [&](Ctx& cc) { return Tree(cc, opt); });
-}
-
-template <class Ctx>
 std::unique_ptr<AnyTree<Ctx>> make_three_path_bptree(Ctx& c,
                                                      const TreeBuildOptions& o) {
   using Tree = ThreePathBPTree<Ctx>;
@@ -231,23 +221,14 @@ void register_builtin_trees(TreeRegistry& reg) {
       &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::with_markbits>,
       &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::with_markbits>});
 
-  reg.add(TreeEntry{
-      "euno-adaptive", "+Adaptive", TreeCaps{},
-      &make_euno_bptree<ctx::SimCtx, 4, &core::EunoConfig::full>,
-      &make_euno_bptree<ctx::NativeCtx, 4, &core::EunoConfig::full>});
-
-  // Post-refactor structures, registered after the original nine so the
-  // pre-existing listing/sweep order (and with it the golden manifests for
-  // those trees) is untouched.
+  // Post-refactor structures, registered after the paper's trees and the
+  // Figure 13 ladder so the pre-existing listing/sweep order (and with it the
+  // golden manifests for those trees) is untouched.
 
   reg.add(TreeEntry{
       "lock-bptree", "Lock-B+Tree",
       [] { TreeCaps c; c.has_global_fallback = false; return c; }(),
       &make_lock_bptree<ctx::SimCtx>, &make_lock_bptree<ctx::NativeCtx>});
-
-  reg.add(TreeEntry{
-      "rcu-bptree", "RCU-HTM-B+Tree", figure_caps(),
-      &make_rcu_bptree<ctx::SimCtx>, &make_rcu_bptree<ctx::NativeCtx>});
 
   reg.add(TreeEntry{
       "3path-bptree", "3Path-B+Tree",

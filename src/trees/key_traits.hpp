@@ -21,7 +21,8 @@
 // optional out-of-line payload. Updates swap the record's box pointer and
 // epoch-retire the old box (boxes are immutable after publication), so a
 // concurrent reader that captured the old pointer under its epoch pin can
-// keep decoding it — the reclamation contract mirrors rcu_bptree's.
+// keep decoding it (util/epoch.hpp frees a retiree only once every thread
+// has moved past the epoch it was retired in).
 #pragma once
 
 #include <cstddef>

@@ -14,11 +14,9 @@
 #include "sync/lock_coupling.hpp"
 #include "sync/monolithic_htm.hpp"
 #include "sync/olc.hpp"
-#include "sync/rcu_htm.hpp"
 #include "sync/three_path.hpp"
 #include "trees/algo/bptree.hpp"
 #include "trees/algo/euno_bptree.hpp"
-#include "trees/algo/rcu_bptree.hpp"
 #include "trees/common.hpp"
 #include "trees/registry.hpp"
 
@@ -55,12 +53,6 @@ using OlcBPTree = algo::BPlusTree<Ctx, sync::OlcPolicy<Ctx>, F>;
 // body with a policy whose "stable_version" is a latch acquisition.
 template <class Ctx, int F = kDefaultFanout>
 using LockBPTree = algo::BPlusTree<Ctx, sync::LockCouplingPolicy<Ctx>, F>;
-
-// RCU-HTM-B+Tree (Siakavaras et al.): epoch-pinned lock-free reads,
-// privately built replacement subtrees, and a tiny HTM transaction that
-// validates the traversed edge set and splices the copy in.
-template <class Ctx, int F = kDefaultFanout>
-using RcuBPTree = algo::RcuBPlusTree<Ctx, sync::RcuHtmPolicy<Ctx>, F>;
 
 // 3Path-B+Tree: the optimistic body under Brown's three-path template — HTM
 // fast path with fully elided version maintenance, HTM middle path with real

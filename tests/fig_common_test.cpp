@@ -3,6 +3,7 @@
 // run_figure_sweep (every figure binary routes its spec list through it).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -100,6 +101,17 @@ TEST(BenchArgsDeathTest, RejectsNonPositiveDeadline) {
               "--deadline-us=5ms");
 }
 
+TEST(BenchArgsDeathTest, RejectsOverflowingAndSignedCounts) {
+  // Above 2^64-1 or signed: rejected, not saturated or wrapped.
+  EXPECT_EXIT(parse({"--ops=99999999999999999999"}),
+              ::testing::ExitedWithCode(2), "--ops=99999999999999999999");
+  EXPECT_EXIT(parse({"--seed=18446744073709551616"}),
+              ::testing::ExitedWithCode(2), "--seed=18446744073709551616");
+  EXPECT_EXIT(parse({"--keys=-1"}), ::testing::ExitedWithCode(2), "--keys=-1");
+  // 2^64-1 itself is still a valid count.
+  EXPECT_EQ(parse({"--seed=18446744073709551615"}).seed, UINT64_MAX);
+}
+
 TEST(BenchArgs, KeyDomainAndScanLenParse) {
   const auto d = parse({});
   EXPECT_EQ(d.key_domain, "");  // empty = bench default (fig_scan: bytes)
@@ -159,12 +171,11 @@ TEST(FigCommon, SweepHelpers) {
   EXPECT_EQ(thetas.front(), 0.0);
   EXPECT_EQ(thetas.back(), 0.99);
 
-  // The default figure sweep: the paper's four trees plus the two
-  // alternative-design policies (RCU-HTM and the three-path template), in
-  // registry order.
+  // The default figure sweep: the paper's four trees plus the three-path
+  // template, in registry order.
   EXPECT_EQ(bench::figure_trees(),
             (std::vector<std::string>{"htm-bptree", "masstree", "htm-masstree",
-                                      "euno", "rcu-bptree", "3path-bptree"}));
+                                      "euno", "3path-bptree"}));
 }
 
 TEST(FigCommon, FigureSpecHonorsArgs) {

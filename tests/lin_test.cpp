@@ -85,7 +85,7 @@ std::vector<LinSpec> lin_params() {
   // hair-trigger health monitor must flip each HTM-using tree to lock-only
   // mid-run without the history ceasing to linearize.
   for (const char* kind : {"htm-bptree", "htm-masstree", "euno-s2-markbits",
-                           "euno-markbits", "rcu-bptree"}) {
+                           "euno-markbits"}) {
     LinSpec s;
     s.kind = kind;
     s.degrade = true;
@@ -199,7 +199,15 @@ TEST(LinDeterminism, SpecStringRejectsMalformedFields) {
        {"keys=0", "threads=33", "threads=3x", "ops=9x", "keys=16k",
         "preload=8p", "wseed=1z", "arena=64M", "degrade=yes", "kind=EunoS4",
         "kind=Baseline", "arena=0", "arena=1", "arena=64", "arena=1024",
-        below_floor.c_str()}) {
+        below_floor.c_str(),
+        // Signed, overflowing and out-of-range integers: the same values the
+        // lin_explore flags reject, never wrapped or saturated.
+        "kind=euno;sched=rand,seed=-1,preempt=60,storm=-1",
+        "sched=rand,seed=-1", "sched=rand,storm=-1", "sched=rand,storm=101",
+        "sched=rand,preempt=101", "sched=rand,txp=2",
+        "sched=rand,seed=18446744073709551616",
+        "sched=sys,choices=1.4294967296", "wseed=99999999999999999999",
+        "ops=2147483648", "ops=-1", "preload=+8"}) {
     EXPECT_FALSE(LinSpec::parse(bad).has_value()) << bad;
   }
   // The bounds themselves stay valid.
@@ -222,11 +230,10 @@ TEST(LinRegistry, BuiltinsComeFirstAndCheckerVariantsLast) {
   EXPECT_EQ(names, (std::vector<std::string>{
                        "htm-bptree", "masstree", "htm-masstree", "euno",
                        "euno-split", "euno-part", "euno-lockbits",
-                       "euno-markbits", "euno-adaptive", "lock-bptree",
-                       "rcu-bptree", "3path-bptree", "str-htm-bptree",
-                       "str-masstree", "str-lock-bptree", "euno-s1-markbits",
-                       "euno-s2-markbits", "euno-s8-markbits",
-                       "euno-s2-adaptive"}));
+                       "euno-markbits", "lock-bptree", "3path-bptree",
+                       "str-htm-bptree", "str-masstree", "str-lock-bptree",
+                       "euno-s1-markbits", "euno-s2-markbits",
+                       "euno-s8-markbits", "euno-s2-adaptive"}));
 }
 
 // Bounded systematic exploration of a tiny configuration: 2 fibers, a few

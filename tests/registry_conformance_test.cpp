@@ -189,8 +189,8 @@ TEST_P(RegistryConformance, SimConcurrentStress) {
 // Scan-during-splice interleaving: one writer drives continuous structural
 // change (ascending inserts force a split cascade; erases of its own keys
 // force underflow churn) while scanners sweep the same key space under
-// heavy random preemption, so every scan straddles node replacements —
-// copy-on-write splices for rcu-bptree, version-bumped splits elsewhere. A
+// heavy random preemption, so every scan straddles node replacements
+// (version-bumped splits and underflow merges). A
 // scanner must always observe ascending keys, untorn values, and every
 // preloaded immortal key inside the window it covered: a scan that walks
 // into a retired/stale node surfaces here as a vanished immortal or an

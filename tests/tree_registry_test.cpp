@@ -81,14 +81,14 @@ TEST(TreeRegistry, StrFactoriesIffBytesDomain) {
 }
 
 TEST(TreeRegistry, BuiltinsPresentWithExpectedCaps) {
-  // The paper's four figure trees plus RCU-HTM-B+Tree and 3Path-B+Tree.
+  // The paper's four figure trees plus 3Path-B+Tree.
   std::vector<std::string> figure;
   for (const auto& e : tree_registry().entries()) {
     if (e.caps.figure_default) figure.push_back(e.name);
   }
   EXPECT_EQ(figure, (std::vector<std::string>{"htm-bptree", "masstree",
                                               "htm-masstree", "euno",
-                                              "rcu-bptree", "3path-bptree"}));
+                                              "3path-bptree"}));
 
   const auto* euno = tree_registry().by_name("euno");
   ASSERT_NE(euno, nullptr);
@@ -104,13 +104,6 @@ TEST(TreeRegistry, BuiltinsPresentWithExpectedCaps) {
   EXPECT_FALSE(masstree->caps.has_global_fallback)
       << "plain OLC never takes the global fallback lock";
 
-  const auto* rcu = tree_registry().by_name("rcu-bptree");
-  ASSERT_NE(rcu, nullptr);
-  EXPECT_TRUE(rcu->caps.figure_default);
-  EXPECT_TRUE(rcu->caps.has_global_fallback)
-      << "the splice transaction subscribes the per-tree fallback lock";
-  EXPECT_EQ(rcu->display, "RCU-HTM-B+Tree");
-
   const auto* threepath = tree_registry().by_name("3path-bptree");
   ASSERT_NE(threepath, nullptr);
   EXPECT_TRUE(threepath->caps.figure_default);
@@ -122,8 +115,9 @@ TEST(TreeRegistry, BuiltinsPresentWithExpectedCaps) {
 }
 
 TEST(TreeRegistry, RegistrationOrderIsTheBuiltinList) {
-  // Listings, default sweeps and the golden fixtures depend on the original
-  // nine keeping their positions; post-refactor structures append. This
+  // Listings, default sweeps and the golden fixtures depend on the paper's
+  // trees and the Figure 13 ladder keeping their positions; post-refactor
+  // structures append. This
   // binary registers nothing of its own, so the registry is exactly the
   // builtins.
   std::vector<std::string> names;
@@ -131,9 +125,20 @@ TEST(TreeRegistry, RegistrationOrderIsTheBuiltinList) {
   EXPECT_EQ(names, (std::vector<std::string>{
                        "htm-bptree", "masstree", "htm-masstree", "euno",
                        "euno-split", "euno-part", "euno-lockbits",
-                       "euno-markbits", "euno-adaptive", "lock-bptree",
-                       "rcu-bptree", "3path-bptree", "str-htm-bptree",
-                       "str-masstree", "str-lock-bptree"}));
+                       "euno-markbits", "lock-bptree", "3path-bptree",
+                       "str-htm-bptree", "str-masstree", "str-lock-bptree"}));
+}
+
+TEST(TreeRegistry, NoTwoEntriesShareASimFactory) {
+  // Two slugs over one factory are one tree under two names: every sweep
+  // runs it twice and every golden pins the same manifest twice. A second
+  // name for a tree belongs in the bench that needs it (fig13 labels its
+  // last rung "+Adaptive"), not in the registry.
+  std::set<decltype(trees::TreeEntry::make_sim)> factories;
+  for (const auto& e : tree_registry().entries()) {
+    EXPECT_TRUE(factories.insert(e.make_sim).second)
+        << e.name << " reuses another entry's make_sim factory";
+  }
 }
 
 }  // namespace

@@ -205,6 +205,56 @@ TEST(Epoch, ConcurrentRetireStress) {
   EXPECT_EQ(freed.load(), 8000);
 }
 
+// A reader pinned in an old epoch must block every free, no matter how many
+// retirements and advance attempts pile up behind it; once the reader exits,
+// the backlog drains and every pointer is freed exactly once.
+TEST(Epoch, PinnedReaderBlocksFreesUntilExit) {
+  EpochManager mgr(2);
+  std::set<void*> freed;
+  auto deleter = [&freed](void* p) {
+    EXPECT_TRUE(freed.insert(p).second) << "double free of " << p;
+  };
+
+  static char storage[400];
+  mgr.enter(0);  // the reader, pinned at the initial epoch
+
+  mgr.enter(1);
+  // Well past the advance cadence: try_advance() fires several times, but
+  // the reader's pin caps min_active_epoch at its entry epoch.
+  for (int i = 0; i < 200; ++i) mgr.retire(1, &storage[i], deleter);
+  EXPECT_EQ(mgr.retired_count(), 200u);
+  EXPECT_EQ(mgr.freed_count(), 0u) << "freed under a pinned reader";
+  mgr.exit(1);
+
+  mgr.exit(0);  // reader leaves; the backlog becomes reclaimable
+
+  // The next retirement burst crosses the cadence, advances the epoch past
+  // the backlog, and frees it.
+  mgr.enter(1);
+  for (int i = 0; i < 200; ++i) mgr.retire(1, &storage[200 + i], deleter);
+  mgr.exit(1);
+  EXPECT_GT(mgr.freed_count(), 0u);
+  EXPECT_LE(mgr.freed_count(), mgr.retired_count());
+
+  mgr.drain_all();
+  EXPECT_EQ(mgr.freed_count(), mgr.retired_count());
+}
+
+TEST(Epoch, RetireDoesNotFreeInTheRetiringEpoch) {
+  EpochManager mgr(1);
+  int dummy = 0;
+  std::uint64_t freed = 0;
+  mgr.enter(0);
+  mgr.retire(0, &dummy, [&freed](void*) { ++freed; });
+  // Still pinned in the retirement epoch: even an explicit advance attempt
+  // must not free (min_active == retire epoch, and the rule is strict <).
+  mgr.try_advance();
+  EXPECT_EQ(freed, 0u);
+  mgr.exit(0);
+  mgr.drain_all();
+  EXPECT_EQ(freed, 1u);
+}
+
 TEST(Topology, PaperTestbedLayout) {
   const Topology t = Topology::paper_testbed();
   EXPECT_EQ(t.total_cores(), 20);
