@@ -7,8 +7,9 @@
 //               of every op) grows for as long as the run lasts;
 //   hardened  — per-shard token-bucket gating + inflight cap + overload
 //               monitor + per-op deadlines: excess arrivals are shed at the
-//               gate (kShedded) or abandoned once doomed (kDeadlineExceeded),
-//               so the latency of *admitted* ops stays flat.
+//               gate (kShedded) or rejected at admission once already past
+//               their deadline (kDeadlineExceeded), so the latency of
+//               *admitted* ops stays flat.
 //
 // Sequence: one closed-loop probe measures saturation throughput, then the
 // sweep offers {0.5, 1.0, 2.0}x that rate. Latency rows are percentiles of

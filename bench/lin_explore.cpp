@@ -107,7 +107,7 @@ Options parse(int argc, char** argv) {
       else if (val == "sys") o.mode = SchedulePolicy::Mode::kSystematic;
       else if (val == "det") o.mode = SchedulePolicy::Mode::kDeterministic;
       else usage_and_exit(argv[i]);
-    } else if (key == "--seeds" && parse_decimal_u64(val, &n)) {
+    } else if (key == "--seeds" && parse_decimal_u64(val, &n) && n >= 1) {
       o.seeds = n;
     } else if (key == "--seed0" && parse_decimal_u64(val, &n)) {
       o.seed0 = n;

@@ -21,21 +21,19 @@ channel perturbed the simulation.
 import json
 import sys
 
-# Conditional result keys: the manifest writer emits these only when nonzero
-# (the first five exist solely for the multi-path / copy-on-write policies,
-# e.g. 3path-bptree; the last four are the sharded store's
-# robustness counters, emitted as a group whenever any is nonzero). A
-# pre-existing golden was generated before these counters existed, so the
-# produced manifest must not contain any conditional key the golden lacks —
-# if it does, a policy or store counter leaked into a run that should never
-# produce one, and the diagnostic should say so by name rather than as a
-# generic structural diff.
+# Conditional result keys: the manifest writer emits these only when nonzero.
+# The three three-path keys (middle_attempts, middle_commits, slow_path_ops)
+# exist solely for 3path-bptree; the four store keys (admitted_ops, shed_ops,
+# deadline_exceeded, shard_degradations) are the sharded store's robustness
+# counters, emitted as a group whenever any is nonzero; suffix_bytes exists
+# only in the bytes key domain. A produced manifest must not contain any
+# conditional key its golden lacks — if it does, a policy, store or
+# key-domain counter leaked into a run that should never produce one, and the
+# diagnostic should say so by name rather than as a generic structural diff.
 CONDITIONAL_KEYS = (
-    "validation_failures",
     "middle_attempts",
     "middle_commits",
     "slow_path_ops",
-    "epoch_retired",
     "admitted_ops",
     "shed_ops",
     "deadline_exceeded",

@@ -79,8 +79,9 @@ case "$job" in
     # oracle for behaviour-preserving refactors.
     ctest --test-dir build --output-on-failure -L golden
     ctest --test-dir build --output-on-failure -L obs-native
-    # Store robustness battery (admission, deadlines, per-shard epoch
-    # domains, open-loop determinism) — part of the full run above, re-run
+    # Store robustness battery (admission, the admission-time deadline
+    # check, run-to-completion of admitted ops, per-shard epoch domains,
+    # open-loop determinism) — part of the full run above, re-run
     # by label so a store regression is attributable at a glance.
     ctest --test-dir build --output-on-failure -L store
     # Bytes-key-domain battery, re-run by label for attributability.

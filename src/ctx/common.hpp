@@ -41,19 +41,6 @@ enum class TxSite : std::uint8_t {
 /// the simulator's run-slice recording and the Chrome-trace exporter.
 using TraceCode = obs::EventCode;
 
-/// Thrown by a context's txn()/try_txn() retry loop when the calling op's
-/// deadline budget (armed via Context::set_deadline) is exhausted: instead of
-/// spinning through further HTM attempts, lock waits or the fallback queue, a
-/// doomed op unwinds to whoever armed the deadline (the sharded store's op
-/// boundary, which reports StoreStatus::kDeadlineExceeded). Deliberately not
-/// derived from std::exception so tree-internal handlers cannot swallow it by
-/// accident. Throw sites are constrained to points where no lock is held and
-/// no HTM region is open (hardware or simulated), so unwinding is always
-/// safe; under simulation the unwind crosses no scheduling point (ordinary
-/// destructors are host-side), which the shared-__cxa_eh_globals rule
-/// requires. Never armed (the default) = zero checks, bit-identical runs.
-struct DeadlineExceeded {};
-
 /// Per-invocation result of Context::txn(), consumed by adaptive contention
 /// control (Euno's per-leaf detector watches the abort count of each lower
 /// region execution).

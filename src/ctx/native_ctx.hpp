@@ -179,9 +179,6 @@ class NativeCtx : public RetryLoop<NativeCtx> {
 
   // ---- RetryLoop backend (retry_loop.hpp) ----
 
-  /// Subscribed RTM must wait for the release: an unsubscribed attempt
-  /// could commit against a fallback holder's half-done writes.
-  static constexpr bool kCanUnsubscribe = false;
   static bool htm_available() { return htm::rtm_supported(); }
   bool lock_held(FallbackLock& lock) const {
     return lock.word.load(std::memory_order_acquire) != 0;
@@ -199,8 +196,7 @@ class NativeCtx : public RetryLoop<NativeCtx> {
   }
 
   template <class Body>
-  Attempt attempt(TxSite site, FallbackLock& lock, bool /*subscribe*/,
-                  Body& body) {
+  Attempt attempt(TxSite site, FallbackLock& lock, Body& body) {
     // Wasted time is stamped only when a ThreadObs consumes it: un-observed
     // runs read no clock. Stamp and trace event come *before* rtm_begin: a
     // ring append inside the transaction would enlarge the write set and be

@@ -3,23 +3,24 @@
 //
 // RetryLoop<Backend> is a CRTP base. SimCtx and NativeCtx derive from it and
 // supply only the primitives that really differ between the simulated
-// multicore and a real RTM machine; the DBX-style per-reason budgets, the
-// hardened-path mechanisms and the deadline check points live here, so the
-// two substrates cannot drift apart. A Backend provides:
+// multicore and a real RTM machine; the DBX-style per-reason budgets and the
+// hardened-path mechanisms live here, so the two substrates cannot drift
+// apart. A Backend provides:
 //
-//   static constexpr bool kCanUnsubscribe   allow the lock-timeout rescue
 //   bool htm_available()                    false: txn() always serializes
 //   bool lock_held(FallbackLock&)           the pre-attempt lock poll
-//   std::uint64_t now()                     the deadline clock
+//   std::uint64_t now()                     the observer's timeline clock
 //   std::uint64_t wait_clock()              the lock-wait accounting clock
 //   void wait(std::uint32_t n), pause()     n units of delay / one poll pause
-//   Attempt attempt(site, lock, subscribe, body)   one HTM attempt
+//   Attempt attempt(site, lock, body)       one subscribed HTM attempt
 //   void note_event(TraceCode, a, b)        trace event, outside any region
 //   void acquire_fallback(FallbackLock&), after_acquire(),
 //        release_fallback(FallbackLock&)    the serialized path's lock
 //
-// Everything the loop does between attempts runs outside HTM regions and
-// critical sections, which is what makes the DeadlineExceeded throw safe.
+// An op leaves the loop one of two ways: an HTM commit, or the serialized
+// run under the fallback lock (txn()), which try_txn() reports as an
+// uncommitted return instead. The only non-local exit is the simulator's
+// abort exception, which attempt() catches itself.
 #pragma once
 
 #include <algorithm>
@@ -56,31 +57,6 @@ class RetryLoop {
   obs::ThreadObs* observer() { return obs_; }
 
   bool in_fallback() const { return in_fallback_; }
-
-  // ---- deadline propagation (DESIGN.md §15) ----
-
-  /// Arm an absolute deadline (in now() units: simulated cycles or
-  /// wall-clock ns) for the ops issued through this context: past it,
-  /// txn()/try_txn() throw DeadlineExceeded from their next safe check
-  /// point instead of spinning on. 0 disarms; disarmed (the default) costs
-  /// one predictable branch.
-  ///
-  /// The unwind is only legal while the op holds no op-level state the ctx
-  /// cannot release — which trees guarantee only up to their *first*
-  /// transactional region (e.g. euno acquires CCM lock bits between its
-  /// upper and lower regions; abandoning there would wedge the slot). So the
-  /// checks stay live only until the first txn()/try_txn() since arming
-  /// returns; past that the op runs to completion, bounding the overrun by
-  /// one op rather than risking a stuck structure.
-  void set_deadline(std::uint64_t abs) {
-    deadline_ = abs;
-    deadline_fresh_ = abs != 0;
-  }
-  void clear_deadline() {
-    deadline_ = 0;
-    deadline_fresh_ = false;
-  }
-  std::uint64_t deadline() const { return deadline_; }
 
   // ---- transactions ----
 
@@ -119,16 +95,6 @@ class RetryLoop {
     TxnOutcome out;
     htm::TxStats& st = stats_.at(site);
 
-    // Deadline propagation (DESIGN.md §15): a doomed op aborts before doing
-    // any further work. The checks stay armed only through the op's first
-    // transactional region (see set_deadline); this guard retires them
-    // however the region exits.
-    struct DeadlineFreshReset {
-      RetryLoop* l;
-      ~DeadlineFreshReset() { l->deadline_fresh_ = false; }
-    } deadline_reset{this};
-    if (deadline_fresh_) deadline_check(st);
-
     if constexpr (kAllowFallback) {
       // Permanent HTM-health degradation: straight to the lock.
       if (policy.health_window != 0 &&
@@ -152,16 +118,13 @@ class RetryLoop {
 
     const bool has_htm = self().htm_available();
     if (has_htm) {
-      if (htm_attempts<kAllowFallback>(site, lock, policy, st, out, body)) {
+      if (htm_attempts(site, lock, policy, st, out, body)) {
         return out;
       }
     } else if constexpr (kAllowFallback) {
       st.attempts++;  // no HTM: the serialized run is the op's one attempt
     }
     if constexpr (kAllowFallback) {
-      // Last exit before joining the fallback queue: a doomed op sheds here
-      // rather than contending for a lock it can no longer afford.
-      if (deadline_fresh_) deadline_check(st);
       // Only an exhausted HTM budget counts toward starvation.
       if (has_htm && policy.starvation_threshold != 0) starved_ops_++;
       // Acquiring the lock aborts every subscribed transaction; the body
@@ -174,7 +137,7 @@ class RetryLoop {
 
   /// The HTM attempts of one op. True once an attempt commits; false when
   /// the retry budget is exhausted.
-  template <bool kAllowFallback, class Body>
+  template <class Body>
   bool htm_attempts(TxSite site, FallbackLock& lock,
                     const htm::RetryPolicy& policy, htm::TxStats& st,
                     TxnOutcome& out, Body& body) {
@@ -189,18 +152,12 @@ class RetryLoop {
       std::fill(std::begin(streak), std::end(streak), 0u);
     };
     rearm();
-    std::uint32_t wait_timeouts = 0;
-    bool subscribe = true;
 
     for (;;) {
-      if (subscribe &&
-          await_release(site, lock, policy, st, wait_timeouts, subscribe)) {
-        rearm();
-      }
+      if (await_release(site, lock, policy, st)) rearm();
 
       st.attempts++;
-      if (Backend::kCanUnsubscribe && !subscribe) st.unsubscribed_attempts++;
-      const Attempt a = b.attempt(site, lock, subscribe, body);
+      const Attempt a = b.attempt(site, lock, body);
       if (a.committed) {
         st.commits++;
         b.note_event(TraceCode::kTxCommit, static_cast<std::uint8_t>(site), 0);
@@ -224,18 +181,7 @@ class RetryLoop {
       int* budget = &other_budget;
       if (r.reason == htm::AbortReason::kConflict) budget = &conflict_budget;
       if (r.reason == htm::AbortReason::kCapacity) budget = &capacity_budget;
-      if (--*budget < 0) {
-        if (!kAllowFallback || !Backend::kCanUnsubscribe || subscribe) {
-          return false;
-        }
-        // The unsubscribed rescue cannot serialize on the fallback lock —
-        // that lock is exactly what never came free — so re-arm and keep
-        // trying under HTM (strong atomicity keeps this sound).
-        rearm();
-      }
-      // Between attempts is the cheapest place to notice a blown deadline:
-      // nothing is held, nothing is open.
-      if (deadline_fresh_) deadline_check(st);
+      if (--*budget < 0) return false;
       // Hardened path: seeded-jitter exponential backoff per abort reason,
       // desynchronizing mutually-destructive retry storms. Capacity aborts
       // never back off (the footprint does not shrink by waiting).
@@ -257,13 +203,11 @@ class RetryLoop {
   /// delays, then after the release waits a jittered grace period and asks
   /// for the retry budget to be re-armed (returns true) instead of
   /// stampeding with the rest of the convoy. Waited units are always
-  /// counted, and each episode is bounded by lock_wait_spin_cap polls —
-  /// hitting the cap counts a timeout, and where the backend allows it,
-  /// lock_wait_timeout_limit timed-out episodes stop the subscription so a
-  /// leaked lock cannot hang the caller.
+  /// counted, and every lock_wait_spin_cap polls of one episode count a
+  /// timeout. The wait itself is unbounded: a holder always releases, since
+  /// every serialized body (and every injected lock-hold delay) is finite.
   bool await_release(TxSite site, FallbackLock& lock,
-                     const htm::RetryPolicy& policy, htm::TxStats& st,
-                     std::uint32_t& wait_timeouts, bool& subscribe) {
+                     const htm::RetryPolicy& policy, htm::TxStats& st) {
     Backend& b = self();
     bool waited = false;
     const std::uint64_t w0 = b.wait_clock();
@@ -271,24 +215,11 @@ class RetryLoop {
     std::uint32_t poll_delay = policy.backoff_base;
     while (b.lock_held(lock)) {
       waited = true;
-      if (deadline_fresh_ && b.now() >= deadline_) {
-        // Account the units burned so far in this episode before
-        // abandoning it.
-        st.lock_wait_cycles += b.wait_clock() - w0;
-        deadline_check(st);
-      }
       if (++polls >= policy.lock_wait_spin_cap) {
         polls = 0;
         st.lock_wait_timeouts++;
         b.note_event(TraceCode::kLockWaitTimeout,
                      static_cast<std::uint8_t>(site), 0);
-        if constexpr (Backend::kCanUnsubscribe) {
-          if (policy.lock_wait_timeout_limit != 0 &&
-              ++wait_timeouts >= policy.lock_wait_timeout_limit) {
-            subscribe = false;
-            break;
-          }
-        }
       }
       if (policy.anti_lemming) {
         b.wait(jitter(poll_delay));
@@ -299,7 +230,7 @@ class RetryLoop {
     }
     if (!waited) return false;
     st.lock_wait_cycles += b.wait_clock() - w0;
-    if (!policy.anti_lemming || !subscribe) return false;
+    if (!policy.anti_lemming) return false;
     const std::uint32_t g =
         policy.rearm_grace != 0
             ? static_cast<std::uint32_t>(
@@ -366,19 +297,6 @@ class RetryLoop {
     }
   }
 
-  /// Throws when the armed deadline has passed. Callers sit outside HTM
-  /// regions and critical sections (common.hpp on DeadlineExceeded). Only
-  /// live while deadline_fresh_: an op that already completed a
-  /// transactional region may hold tree-level state (CCM lock bits, clones)
-  /// that the ctx cannot release.
-  void deadline_check(htm::TxStats& st) {
-    if (deadline_fresh_ && self().now() >= deadline_) {
-      st.deadline_exceeded++;
-      self().note_event(TraceCode::kDeadlineExceeded, 0, 0);
-      throw DeadlineExceeded{};
-    }
-  }
-
   /// Seeded jitter: uniform in [d/2, d].
   std::uint32_t jitter(std::uint32_t d) {
     if (d <= 1) return d;
@@ -390,10 +308,6 @@ class RetryLoop {
   obs::ThreadObs* obs_ = nullptr;
   bool in_fallback_ = false;
   std::uint32_t starved_ops_ = 0;  // consecutive ops that exhausted the budget
-  std::uint64_t deadline_ = 0;     // absolute now() deadline; 0 = disarmed
-  // Deadline throws are armed per op and retired by the first txn region
-  // (see set_deadline); cleared even when that region itself throws.
-  bool deadline_fresh_ = false;
   Xoshiro256 jitter_rng_;
 };
 

@@ -153,10 +153,6 @@ class SimCtx : public RetryLoop<SimCtx> {
 
   // ---- RetryLoop backend (retry_loop.hpp) ----
 
-  /// The simulated machine has strong atomicity, so an unsubscribed attempt
-  /// that truly conflicts with a (dead) fallback holder is still doomed:
-  /// the lock-timeout rescue is sound here.
-  static constexpr bool kCanUnsubscribe = true;
   static constexpr bool htm_available() { return true; }
   bool lock_held(FallbackLock& lock) { return atomic_load(lock.word) != 0; }
   /// Lock-wait and backoff are accounted in simulated cycles.
@@ -165,7 +161,7 @@ class SimCtx : public RetryLoop<SimCtx> {
   void pause() { spin_pause(); }
 
   template <class Body>
-  Attempt attempt(TxSite site, FallbackLock& lock, bool subscribe, Body& body) {
+  Attempt attempt(TxSite site, FallbackLock& lock, Body& body) {
     auto& htm_model = sim_->htm();
     const auto& cfg = sim_->config();
     const std::uint64_t start = now();
@@ -177,9 +173,8 @@ class SimCtx : public RetryLoop<SimCtx> {
       // Subscribe the fallback lock inside the transaction. Subscription
       // at begin is load-bearing: checking the lock any later could let a
       // transaction observe partial multi-line state of a fallback
-      // holder's critical section with no conflict ever firing. The only
-      // path that skips it is the explicit lock-timeout rescue.
-      if (subscribe && atomic_load(lock.word) != 0) {
+      // holder's critical section with no conflict ever firing.
+      if (atomic_load(lock.word) != 0) {
         htm_model.tx_abort_explicit(core_, htm::xabort_code::kFallbackLocked);
       }
       // Schedule-exploration hooks (no-op under the default policy): may

@@ -67,11 +67,9 @@ void aggregate_stats(const ctx::SiteStats& s, ExperimentResult* r) {
   r->backoff_cycles += t.backoff_cycles;
   r->starvation_escapes += t.starvation_escapes;
   r->degradations += t.degradations;
-  r->unsubscribed_attempts += t.unsubscribed_attempts;
   r->middle_attempts += t.middle_attempts;
   r->middle_commits += t.middle_commits;
   r->slow_path_ops += t.slow_path_ops;
-  r->deadline_exceeded += t.deadline_exceeded;
 }
 
 // ---- key codecs: encode(id, value, put, fn) calls fn(key, payload...) ----
@@ -166,15 +164,13 @@ struct StoreTarget {
     return res.status == store::StoreStatus::kOk ||
            res.status == store::StoreStatus::kNotFound;
   }
-  /// Folds the store totals, then tears the store down. Mid-flight deadline
-  /// unwinds were already aggregated from TxStats; the store adds the
-  /// pre-check rejections, so deadline_exceeded counts each missed op once.
+  /// Folds the store totals, then tears the store down.
   void finish(Ctx& c, ExperimentResult* r) {
     const store::StoreTotals tot = st.accumulate();
     r->admitted_ops = tot.admitted;
     r->shed_ops = tot.shed;
     r->shard_degradations = tot.degradations;
-    r->deadline_exceeded += tot.deadline_exceeded;
+    r->deadline_exceeded = tot.deadline_exceeded;
     st.destroy(c);
   }
 };
@@ -385,19 +381,16 @@ std::uint64_t issue(Backend& be, typename Backend::Ctx& c, Target& target,
   const double mean_gap = open_loop ? be.clock_hz() * spec.threads /
                                           (so.offered_load_mops * 1e6)
                                     : 0;
-  workload::ArrivalStream arrivals(
-      {spec.workload.seed ^ 0x0B5E55ull, spec.threads, mean_gap, so.think}, t,
-      be.origin);
-  workload::DriftingOpStream stream(spec.workload, t,
-                                    so.enabled() ? so.drift_to : -1,
-                                    spec.ops_per_thread);
+  workload::ArrivalStream arrivals({spec.workload.seed ^ 0x0B5E55ull, mean_gap},
+                                   t, be.origin);
+  workload::OpStream stream(spec.workload, t);
   std::vector<trees::KV> scan_buf(spec.workload.scan_len);
   obs::ThreadObs* tobs = c.observer();
   std::uint64_t served = 0, completion = be.origin;
   for (std::uint64_t i = 0; i < spec.ops_per_thread; ++i) {
     std::uint64_t sched;
     if (open_loop) {
-      sched = arrivals.next(completion);
+      sched = arrivals.next();
       be.idle_until(c, sched);
     } else {
       sched = c.now();

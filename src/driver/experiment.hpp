@@ -59,7 +59,7 @@ struct ExperimentSpec {
   obs::ObsOptions obs{};
   /// Sharded KV service layer (src/store; off by default). When enabled
   /// (store.shards > 0) the run executes through a ShardedStore — one tree
-  /// instance per shard, admission control, deadline propagation and
+  /// instance per shard, admission control, admission-time deadlines and
   /// optionally open-loop arrivals — instead of the single-tree closed loop.
   store::StoreOptions store{};
 };
@@ -91,7 +91,6 @@ struct ExperimentResult {
   std::uint64_t backoff_cycles = 0;      // cycles spent in post-abort backoff
   std::uint64_t starvation_escapes = 0;  // fairness-hatch trips to the lock
   std::uint64_t degradations = 0;        // HTM-health monitor lock-only flips
-  std::uint64_t unsubscribed_attempts = 0;  // sim-only lock-timeout rescue
   // Three-path policy accounting (3path-bptree; zero — and absent from
   // manifests — for every other policy).
   std::uint64_t middle_attempts = 0;      // three-path middle-path HTM attempts
@@ -101,7 +100,8 @@ struct ExperimentResult {
   // manifests — unless the spec enables the store layer).
   std::uint64_t admitted_ops = 0;         // ops that passed the admission gate
   std::uint64_t shed_ops = 0;             // ops rejected by the gate
-  std::uint64_t deadline_exceeded = 0;    // ops that blew their deadline
+  std::uint64_t deadline_exceeded = 0;    // ops past their deadline at
+                                          // admission (never served)
   std::uint64_t shard_degradations = 0;   // stage-advancing shard transitions
   // Injected-fault accounting (sim engine only; zero when fault config off).
   std::uint64_t faults_spurious = 0;

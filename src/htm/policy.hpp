@@ -53,18 +53,10 @@ struct RetryPolicy {
   /// 0 = off.
   std::uint32_t starvation_threshold = 0;
 
-  /// Bounded kLockBusy waiting: one wait-for-release episode is capped at
-  /// this many polls; hitting the cap counts a lock_wait_timeout (the wait
-  /// itself continues — mutual exclusion still requires the release).
+  /// Counted kLockBusy waiting: every this many polls of one
+  /// wait-for-release episode count a lock_wait_timeout (the wait itself
+  /// continues — mutual exclusion still requires the release).
   std::uint32_t lock_wait_spin_cap = 1u << 20;
-  /// Rescue for backends with kCanUnsubscribe (the simulator only; see
-  /// ctx/retry_loop.hpp): after this many timed-out episodes within one
-  /// operation, further HTM attempts run *unsubscribed* (no early fallback-
-  /// lock check), so a leaked / never-released lock cannot hang the fiber.
-  /// Strong atomicity still kills genuinely conflicting attempts. Native
-  /// RTM ignores it: real subscribed RTM must wait for the release. 0 = off
-  /// (default: wait forever).
-  std::uint32_t lock_wait_timeout_limit = 0;
 
   /// HTM-health monitor (glibc-tunable style): when a window of
   /// `health_window` HTM attempts on a tree commits less than
@@ -82,18 +74,12 @@ struct RetryPolicy {
     }
   }
 
-  /// True when any hardened-path mechanism is enabled.
-  bool is_hardened() const {
-    return backoff || anti_lemming || starvation_threshold != 0 ||
-           lock_wait_timeout_limit != 0 || health_window != 0;
-  }
-
   /// The classic three-budget DBX policy (== default construction).
   static RetryPolicy naive() { return RetryPolicy{}; }
 
   /// Full hardened preset: backoff + anti-lemming + starvation escape.
-  /// The health monitor and the unsubscribed rescue stay opt-in (both change
-  /// the failure semantics, not just the timing).
+  /// The health monitor stays opt-in (it changes the failure semantics, not
+  /// just the timing).
   static RetryPolicy hardened() {
     RetryPolicy p;
     p.backoff = true;
@@ -142,7 +128,6 @@ struct TxStats {
   std::uint64_t starvation_escapes = 0;  // fairness hatch engagements
   std::uint64_t degradations = 0;        // HTM-health flips observed (the
                                          // flipping thread counts exactly one)
-  std::uint64_t unsubscribed_attempts = 0;  // sim-only lock-timeout rescue
   // ---- three-path policy accounting (sync/three_path.hpp; zero for every
   // other policy, and their manifest keys are emitted only when nonzero so
   // pre-existing goldens stay byte-identical)
@@ -154,10 +139,6 @@ struct TxStats {
   // any (the tree-level EpochManager keeps its own ledger); perfbench reports
   // it as epoch.retired_per_op.
   std::uint64_t epoch_retired = 0;
-  // ---- deadline propagation (src/store; zero unless a deadline was armed
-  // via Context::set_deadline, and the manifest key is conditional likewise)
-  std::uint64_t deadline_exceeded = 0;    // txn() retry loops abandoned because
-                                          // the op's deadline budget ran out
 
   void note_abort(const TxResult& r) {
     aborts[static_cast<std::size_t>(r.reason)]++;
@@ -183,12 +164,10 @@ struct TxStats {
     backoff_cycles += o.backoff_cycles;
     starvation_escapes += o.starvation_escapes;
     degradations += o.degradations;
-    unsubscribed_attempts += o.unsubscribed_attempts;
     middle_attempts += o.middle_attempts;
     middle_commits += o.middle_commits;
     slow_path_ops += o.slow_path_ops;
     epoch_retired += o.epoch_retired;
-    deadline_exceeded += o.deadline_exceeded;
     return *this;
   }
 };

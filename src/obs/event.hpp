@@ -37,8 +37,9 @@ enum class EventCode : std::uint8_t {
   kHtmDegraded = 16,        // HTM-health monitor flipped the tree lock-only
   kLockWaitTimeout = 17,    // a wait-for-release episode hit the spin cap
   kStarvationEscape = 18,   // fairness hatch sent this op straight to the lock
-  // Service-layer robustness events (DESIGN.md §15):
-  kDeadlineExceeded = 19,   // txn retry loop abandoned: op deadline blown
+  // Service-layer robustness events (DESIGN.md §15). 19 is retired (it
+  // marked an in-retry-loop deadline unwind); the explicit values keep
+  // existing traces decodable.
   kOpShed = 20,             // admission gate rejected the op (a=ShardState)
   kShardDegraded = 21,      // overload monitor moved a shard to a later stage
                             // (a=new ShardState)

@@ -92,8 +92,6 @@ void write_spec(JsonWriter& w, const driver::ExperimentSpec& s) {
        static_cast<std::uint64_t>(s.policy.starvation_threshold));
   w.kv("lock_wait_spin_cap",
        static_cast<std::uint64_t>(s.policy.lock_wait_spin_cap));
-  w.kv("lock_wait_timeout_limit",
-       static_cast<std::uint64_t>(s.policy.lock_wait_timeout_limit));
   w.kv("health_window", static_cast<std::uint64_t>(s.policy.health_window));
   w.kv("health_min_commit_pct",
        static_cast<std::uint64_t>(s.policy.health_min_commit_pct));
@@ -158,8 +156,6 @@ void write_spec(JsonWriter& w, const driver::ExperimentSpec& s) {
     w.kv("shed_on_pct", static_cast<std::uint64_t>(s.store.shed_on_pct));
     w.kv("degrade_windows",
          static_cast<std::uint64_t>(s.store.degrade_windows));
-    w.kv("think", s.store.think);
-    w.kv("drift_to", s.store.drift_to, 4);
     w.end_object();
   }
   w.key("obs");
@@ -258,7 +254,6 @@ void write_result(JsonWriter& w, const driver::ExperimentResult& r) {
   w.kv("backoff_cycles", r.backoff_cycles);
   w.kv("starvation_escapes", r.starvation_escapes);
   w.kv("degradations", r.degradations);
-  w.kv("unsubscribed_attempts", r.unsubscribed_attempts);
   // Three-path policy counters are conditional keys: they are nonzero only
   // for the policy that produces them (3path-bptree), so manifests from
   // every other tree — including every pre-existing golden fixture — stay

@@ -29,7 +29,6 @@ std::string_view event_code_name(EventCode c) {
     case EventCode::kHtmDegraded: return "htm_degraded";
     case EventCode::kLockWaitTimeout: return "lock_wait_timeout";
     case EventCode::kStarvationEscape: return "starvation_escape";
-    case EventCode::kDeadlineExceeded: return "deadline_exceeded";
     case EventCode::kOpShed: return "op_shed";
     case EventCode::kShardDegraded: return "shard_degraded";
     case EventCode::kCount: break;

@@ -16,7 +16,7 @@ enum class StoreStatus : std::uint8_t {
   kOk = 0,            // op applied (get hit, put, erase hit)
   kNotFound,          // get/erase key absent (op still completed)
   kShedded,           // rejected by the admission gate; never touched a tree
-  kDeadlineExceeded,  // aborted once the op's deadline budget was exhausted
+  kDeadlineExceeded,  // rejected at admission: its deadline had passed
   kCount,
 };
 
@@ -48,9 +48,9 @@ struct StoreOptions {
 
   /// Per-op deadline budget in microseconds, measured from the op's
   /// *scheduled arrival* (so queueing delay consumes budget — the open-loop
-  /// property). Flows into the ctx retry loop via set_deadline(); a doomed
-  /// op aborts with kDeadlineExceeded instead of spinning through fallback
-  /// queues. 0 = no deadlines.
+  /// property). Checked once, when the op is admitted: an op already past
+  /// its deadline is rejected with kDeadlineExceeded without touching the
+  /// tree, and an admitted op runs to completion. 0 = no deadlines.
   std::uint64_t deadline_us = 0;
 
   /// Admission control + load shedding + staged overload monitor. When off,
@@ -82,14 +82,6 @@ struct StoreOptions {
   /// shedding shard degrades to kShardLockOnly. Terminal for the run, like
   /// the PR-4 health monitor's lock-only flip. 0 = never degrade.
   std::uint32_t degrade_windows = 4;
-
-  /// Per-client think time in engine clock units, applied as a floor between
-  /// an op's completion and the client's next arrival (0 = pure open loop).
-  std::uint64_t think = 0;
-
-  /// Skew drift: the workload's dist_param drifts linearly from its spec
-  /// value to this over the measured phase (hot-set churn). Negative = off.
-  double drift_to = -1;
 
   bool enabled() const { return shards > 0; }
   bool open_loop() const { return offered_load_mops > 0; }

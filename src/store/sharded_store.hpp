@@ -17,11 +17,10 @@
 //      convert all shedding into deadline rejections);
 //   2. deadline pre-check  — an admitted op already past its deadline is
 //      reported kDeadlineExceeded without touching the tree (it consumed
-//      its budget queueing; service on it would be wasted);
-//   3. execution           — the tree op runs with the context deadline
-//      armed, so a doomed op can unwind out of the retry loop before its
-//      first transactional region (ctx::DeadlineExceeded) instead of
-//      spinning through fallback queues.
+//      its budget queueing; service on it would be wasted). This is the
+//      only place a deadline is enforced;
+//   3. execution           — the tree op runs to completion: an op that
+//      passed the pre-check is never abandoned mid-flight.
 //
 // All store bookkeeping is host-side (zero simulated cost, deterministic
 // under the fiber engine); the only ctx calls made while any store lock is
@@ -64,8 +63,7 @@ struct OpResult {
 struct StoreTotals {
   std::uint64_t admitted = 0;            // ops that passed the gate
   std::uint64_t shed = 0;                // ops rejected by the gate
-  std::uint64_t deadline_exceeded = 0;   // ops that blew their deadline
-                                         // (pre-check + mid-flight unwinds)
+  std::uint64_t deadline_exceeded = 0;   // ops rejected by the pre-check
   std::uint64_t degradations = 0;        // stage-advancing shard transitions
 };
 
@@ -190,10 +188,7 @@ class ShardedStore {
     });
   }
 
-  /// Sum the per-shard counters. `deadline_exceeded` here carries only the
-  /// pre-check rejections — mid-flight deadline unwinds are counted once in
-  /// the per-thread TxStats the driver already aggregates; the two add up to
-  /// ops-that-missed-their-deadline without double counting.
+  /// Sum the per-shard counters.
   StoreTotals accumulate() const {
     StoreTotals t;
     for (const auto& sh : shards_) {
@@ -279,7 +274,7 @@ class ShardedStore {
     ShardCounters counters;
   };
 
-  /// Admission (1) + deadline pre-check (2) + deadline-armed execution (3)
+  /// Admission (1) + deadline pre-check (2) + run-to-completion execution (3)
   /// around a domain-specific tree dispatch. Factoring this out is what keeps
   /// the u64 and bytes paths behaviorally identical at the service layer —
   /// one shedding/overload policy, two key domains.
@@ -338,17 +333,8 @@ class ShardedStore {
     sh.counters.admitted++;
     sh.inflight.fetch_add(1, std::memory_order_relaxed);
 
-    // 3. Execution, with the context deadline armed across the tree op.
-    if (deadline != 0) c.set_deadline(deadline);
-    try {
-      run_tree_op(res);
-    } catch (const ctx::DeadlineExceeded&) {
-      // The retry loop already counted it (TxStats::deadline_exceeded) and
-      // threw from a point holding no lock and no open transaction; the op
-      // is abandoned, not retried.
-      res.status = StoreStatus::kDeadlineExceeded;
-    }
-    if (deadline != 0) c.clear_deadline();
+    // 3. Execution: an admitted op runs to completion.
+    run_tree_op(res);
     sh.inflight.fetch_sub(1, std::memory_order_relaxed);
     if (serial) sh.serial.unlock();
     return res;

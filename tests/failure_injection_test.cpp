@@ -194,54 +194,6 @@ TEST(FailureInjection, HealthMonitorDegradesToLockOnly) {
   EXPECT_GT(r.ops, 0u);
 }
 
-// A leaked fallback lock (holder exits without releasing) must not hang a
-// hardened context: bounded waiting counts timeouts, and after
-// lock_wait_timeout_limit timed-out episodes the sim-only rescue runs the
-// transaction unsubscribed and completes under HTM.
-TEST(FailureInjection, LeakedLockCannotHangHardenedContext) {
-  sim::MachineConfig cfg;
-  cfg.arena_bytes = 64ull << 20;
-  sim::Simulation simulation(cfg);
-  ctx::SimCtx setup(simulation, 0);
-  auto* lock = static_cast<ctx::FallbackLock*>(setup.alloc(
-      sizeof(ctx::FallbackLock), MemClass::kTreeMisc,
-      sim::LineKind::kFallbackLock));
-  new (lock) ctx::FallbackLock();
-  auto* cell = static_cast<std::uint64_t*>(setup.alloc(
-      sizeof(std::uint64_t), MemClass::kTreeMisc, sim::LineKind::kRecord));
-  *cell = 0;
-
-  htm::RetryPolicy policy = htm::RetryPolicy::hardened();
-  policy.lock_wait_spin_cap = 64;
-  policy.lock_wait_timeout_limit = 2;
-
-  htm::TxStats st;
-  // Core 0: acquire the lock and exit without releasing (a crashed /
-  // descheduled-forever holder).
-  simulation.spawn(0, [&](int core) {
-    ctx::SimCtx c(simulation, core);
-    ASSERT_TRUE(c.cas<std::uint32_t>(lock->word, 0, 1));
-  });
-  // Core 1: must still complete its transaction.
-  simulation.spawn(1, [&](int core) {
-    ctx::SimCtx c(simulation, core);
-    c.compute(5000);  // let the holder acquire (and die) first
-    const auto out = c.txn(ctx::TxSite::kMono, *lock, policy,
-                           [&] { c.write(*cell, std::uint64_t{42}); });
-    EXPECT_FALSE(out.used_fallback);
-    st = c.stats().total();
-  });
-  simulation.run();
-
-  EXPECT_EQ(*cell, 42u);
-  EXPECT_GE(st.lock_wait_timeouts, 2u);
-  EXPECT_GE(st.unsubscribed_attempts, 1u);
-  EXPECT_EQ(st.commits, 1u);
-  EXPECT_GT(st.lock_wait_cycles, 0u);
-  setup.free(lock, sizeof(ctx::FallbackLock), MemClass::kTreeMisc);
-  setup.free(cell, sizeof(std::uint64_t), MemClass::kTreeMisc);
-}
-
 // The full hardened feature set under a hostile machine must stay correct
 // (conformance-style invariants via run_hostile_sim).
 TEST(FailureInjection, HardenedPolicyStaysCorrectUnderMutualDestruction) {

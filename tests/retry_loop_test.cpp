@@ -1,10 +1,10 @@
 // The shared HTM retry loop (ctx/retry_loop.hpp) driven by a scripted
-// backend with native semantics: no unsubscribed rescue, lock-wait counted
-// in pause units. Each HTM attempt replays a scripted _xbegin status word
-// through the real htm::rtm_decode, lock-held polls and the deadline clock
-// are scripted too, so the native RTM branch of the loop — budgets,
-// backoff, anti-lemming waiting, health degradation, the starvation escape
-// and the deadline unwinds — is checked exactly on any host, RTM or not.
+// backend with native semantics: lock-wait counted in pause units. Each HTM
+// attempt replays a scripted _xbegin status word through the real
+// htm::rtm_decode and lock-held polls are scripted too, so the native RTM
+// branch of the loop — budgets, backoff, anti-lemming waiting, the spin-cap
+// timeouts, health degradation and the starvation escape — is checked
+// exactly on any host, RTM or not.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 namespace euno::tests {
 namespace {
 
-using ctx::DeadlineExceeded;
 using ctx::FallbackLock;
 using ctx::TraceCode;
 using ctx::TxnOutcome;
@@ -44,9 +43,6 @@ class ScriptedCtx : public ctx::RetryLoop<ScriptedCtx> {
   // Consumed one entry per pre-attempt wait: that many polls see the lock
   // held, then it is released. Empty = never held.
   std::deque<std::uint32_t> held;
-  std::uint64_t clock = 0;              // now()
-  std::uint64_t clock_per_attempt = 0;  // now() advance per HTM attempt
-  std::uint64_t clock_per_pause = 0;    // now() advance per pause()
 
   // ---- record ----
   std::uint64_t relaxed = 0;  // the wait clock: pause/wait units
@@ -55,7 +51,6 @@ class ScriptedCtx : public ctx::RetryLoop<ScriptedCtx> {
   int body_runs = 0;
 
   // ---- RetryLoop backend ----
-  static constexpr bool kCanUnsubscribe = false;
   bool htm_available() const { return rtm; }
   bool lock_held(FallbackLock&) {
     if (held.empty()) return false;
@@ -66,19 +61,15 @@ class ScriptedCtx : public ctx::RetryLoop<ScriptedCtx> {
     --held.front();
     return true;
   }
-  std::uint64_t now() const { return clock; }
+  std::uint64_t now() const { return 0; }  // read only with an observer
   std::uint64_t wait_clock() const { return relaxed; }
   void wait(std::uint32_t n) {
     relaxed += n;
     waits.push_back(n);
   }
-  void pause() {
-    ++relaxed;
-    clock += clock_per_pause;
-  }
+  void pause() { ++relaxed; }
   template <class Body>
-  ctx::Attempt attempt(TxSite, FallbackLock&, bool subscribe, Body& body) {
-    EXPECT_TRUE(subscribe) << "native semantics never unsubscribe";
+  ctx::Attempt attempt(TxSite, FallbackLock&, Body& body) {
     ctx::Attempt a;
     if (statuses.empty()) {
       ADD_FAILURE() << "script ran out of status words";
@@ -87,7 +78,6 @@ class ScriptedCtx : public ctx::RetryLoop<ScriptedCtx> {
     }
     const unsigned status = statuses.front();
     statuses.pop_front();
-    clock += clock_per_attempt;
     if (status == kCommit) {
       body();
       a.committed = true;
@@ -296,14 +286,12 @@ TEST(RetryLoop, SpinCapCountsTimeoutsButNeverUnsubscribes) {
   FallbackLock lock;
   RetryPolicy p;
   p.lock_wait_spin_cap = 4;
-  p.lock_wait_timeout_limit = 1;  // would trigger the rescue where allowed
   c.held = {10};
   c.statuses = {kCommit};
   const TxnOutcome out = c.txn(lock, p);
   EXPECT_TRUE(out.committed);
   EXPECT_FALSE(out.used_fallback);
   EXPECT_EQ(c.st().lock_wait_timeouts, 2u);
-  EXPECT_EQ(c.st().unsubscribed_attempts, 0u);
   EXPECT_EQ(c.st().lock_wait_cycles, 10u);
   EXPECT_EQ(c.st().attempts, 1u);
   EXPECT_EQ(c.count(TraceCode::kLockWaitTimeout), 2);
@@ -392,84 +380,6 @@ TEST(RetryLoop, WithoutHtmTxnSerializesAndTryTxnGivesUp) {
   EXPECT_EQ(c.st().fallbacks, 3u);
   EXPECT_EQ(c.st().starvation_escapes, 0u);
   EXPECT_EQ(c.body_runs, 3);
-}
-
-// After a DeadlineExceeded unwind the freshness bit is clear: the next op,
-// with the clock still past the deadline, runs to completion.
-void expect_deadline_retired(ScriptedCtx& c, FallbackLock& lock) {
-  const std::uint64_t shed = c.st().deadline_exceeded;
-  c.held.clear();
-  c.clock_per_attempt = 0;
-  c.clock_per_pause = 0;
-  c.statuses = {kCommit};
-  ASSERT_GE(c.clock, c.deadline());
-  EXPECT_NO_THROW(c.txn(lock, RetryPolicy{}));
-  EXPECT_EQ(c.st().deadline_exceeded, shed);
-  EXPECT_EQ(lock.word.load(), 0u);
-}
-
-TEST(RetryLoop, DeadlineUnwindAtEntry) {
-  ScriptedCtx c;
-  FallbackLock lock;
-  c.clock = 100;
-  c.set_deadline(50);
-  c.statuses = {kCommit};
-  EXPECT_THROW(c.txn(lock, RetryPolicy{}), DeadlineExceeded);
-  EXPECT_EQ(c.st().deadline_exceeded, 1u);
-  EXPECT_EQ(c.st().attempts, 0u);
-  EXPECT_EQ(c.count(TraceCode::kDeadlineExceeded), 1);
-  expect_deadline_retired(c, lock);
-}
-
-TEST(RetryLoop, DeadlineUnwindInLockWaitKeepsWaitedUnits) {
-  ScriptedCtx c;
-  FallbackLock lock;
-  c.clock_per_pause = 10;
-  c.held = {10};
-  c.set_deadline(35);
-  EXPECT_THROW(c.txn(lock, RetryPolicy{}), DeadlineExceeded);
-  // Four pauses took the clock to 40; the fifth poll sheds, keeping them.
-  EXPECT_EQ(c.st().deadline_exceeded, 1u);
-  EXPECT_EQ(c.st().lock_wait_cycles, 4u);
-  EXPECT_EQ(c.st().attempts, 0u);
-  expect_deadline_retired(c, lock);
-}
-
-TEST(RetryLoop, DeadlineUnwindBetweenAttempts) {
-  ScriptedCtx c;
-  FallbackLock lock;
-  c.clock_per_attempt = 100;
-  c.statuses = {kConflict, kCommit};
-  c.set_deadline(50);
-  EXPECT_THROW(c.txn(lock, RetryPolicy{}), DeadlineExceeded);
-  EXPECT_EQ(c.st().deadline_exceeded, 1u);
-  EXPECT_EQ(c.st().attempts, 1u);
-  EXPECT_EQ(aborts(c.st(), AbortReason::kConflict), 1u);
-  EXPECT_EQ(c.st().fallbacks, 0u);
-  expect_deadline_retired(c, lock);
-}
-
-TEST(RetryLoop, DeadlineUnwindBeforeFallbackDoesNotCountStarvation) {
-  ScriptedCtx c;
-  FallbackLock lock;
-  RetryPolicy p;
-  p.conflict_retries = 0;
-  p.starvation_threshold = 1;
-  c.clock_per_attempt = 100;
-  c.statuses = {kConflict};
-  c.set_deadline(50);
-  EXPECT_THROW(c.txn(lock, p), DeadlineExceeded);
-  EXPECT_EQ(c.st().deadline_exceeded, 1u);
-  EXPECT_EQ(c.st().attempts, 1u);
-  EXPECT_EQ(c.st().fallbacks, 0u);
-  EXPECT_EQ(c.body_runs, 0);
-  expect_deadline_retired(c, lock);
-  // The shed op never joined the fallback queue, so it did not starve: the
-  // next op tries HTM instead of escaping straight to the lock.
-  c.statuses = {kCommit};
-  const TxnOutcome out = c.txn(lock, p);
-  EXPECT_FALSE(out.used_fallback);
-  EXPECT_EQ(c.st().starvation_escapes, 0u);
 }
 
 }  // namespace

@@ -38,25 +38,21 @@ TEST(RetryPolicy, BudgetForEveryReason) {
   EXPECT_EQ(p.budget_for(AbortReason::kNone), 5);
 }
 
-TEST(RetryPolicy, DefaultEqualsNaiveAndIsNotHardened) {
+TEST(RetryPolicy, DefaultEqualsNaive) {
   const RetryPolicy d;
   const RetryPolicy n = RetryPolicy::naive();
   EXPECT_EQ(d.conflict_retries, n.conflict_retries);
   EXPECT_EQ(d.capacity_retries, n.capacity_retries);
   EXPECT_EQ(d.other_retries, n.other_retries);
-  EXPECT_FALSE(d.is_hardened());
-  EXPECT_FALSE(n.is_hardened());
 }
 
-TEST(RetryPolicy, HardenedPresetIsValidAndHardened) {
+TEST(RetryPolicy, HardenedPresetIsValid) {
   const RetryPolicy h = RetryPolicy::hardened();
-  EXPECT_TRUE(h.is_hardened());
   EXPECT_TRUE(h.backoff);
   EXPECT_TRUE(h.anti_lemming);
   EXPECT_GT(h.starvation_threshold, 0u);
-  // The semantics-changing mechanisms stay opt-in.
+  // The semantics-changing health monitor stays opt-in.
   EXPECT_EQ(h.health_window, 0u);
-  EXPECT_EQ(h.lock_wait_timeout_limit, 0u);
   EXPECT_NO_THROW(h.validate());
 }
 
@@ -187,7 +183,6 @@ TEST(TxStats, AggregationSumsEveryField) {
   a.backoff_cycles = 50;
   a.starvation_escapes = 2;
   a.degradations = 1;
-  a.unsubscribed_attempts = 4;
 
   TxStats b = a;
   b += a;
@@ -201,7 +196,6 @@ TEST(TxStats, AggregationSumsEveryField) {
   EXPECT_EQ(b.backoff_cycles, 100u);
   EXPECT_EQ(b.starvation_escapes, 4u);
   EXPECT_EQ(b.degradations, 2u);
-  EXPECT_EQ(b.unsubscribed_attempts, 8u);
   EXPECT_EQ(b.total_aborts(), 6u);
 }
 
