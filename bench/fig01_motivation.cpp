@@ -21,8 +21,9 @@ int main(int argc, char** argv) {
   }
   const auto results = bench::run_figure_sweep(specs, args);
 
-  stats::Table table({"theta", "throughput_mops", "aborts_per_op", "fallbacks",
-                      "wasted_cycles_pct", "p50_cyc", "p99_cyc"});
+  stats::Table table(bench::with_latency_columns(
+      args, {"theta", "throughput_mops", "aborts_per_op", "fallbacks",
+             "wasted_cycles_pct"}));
   for (std::size_t i = 0; i < thetas.size(); ++i) {
     const auto& r = results[i];
     table.add_row({stats::Table::num(thetas[i]),

@@ -25,9 +25,9 @@ int main(int argc, char** argv) {
   }
   const auto results = bench::run_figure_sweep(specs, args);
 
-  stats::Table table({"theta", "aborts_per_op", "same_record_pct",
-                      "diff_record_pct", "metadata_pct", "lock_subscr_pct",
-                      "capacity_other_pct", "p50_cyc", "p99_cyc"});
+  stats::Table table(bench::with_latency_columns(
+      args, {"theta", "aborts_per_op", "same_record_pct", "diff_record_pct",
+             "metadata_pct", "lock_subscr_pct", "capacity_other_pct"}));
   for (std::size_t i = 0; i < thetas.size(); ++i) {
     const double theta = thetas[i];
     const auto& r = results[i];

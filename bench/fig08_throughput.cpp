@@ -23,15 +23,18 @@ int main(int argc, char** argv) {
   }
   const auto results = bench::run_figure_sweep(specs, args);
 
-  stats::Table table({"theta", "tree", "throughput_mops", "aborts_per_op",
-                      "instr_per_op", "wasted_pct", "p50_cyc", "p99_cyc"});
+  stats::Table table(bench::with_latency_columns(
+      args, {"theta", "tree", "throughput_mops", "aborts_per_op",
+             "instr_per_op", "wasted_pct"}));
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& r = results[i];
     table.add_row({stats::Table::num(specs[i].workload.dist_param),
                    driver::tree_display_name(specs[i].tree),
                    stats::Table::num(r.throughput_mops),
                    stats::Table::num(r.aborts_per_op),
-                   stats::Table::num(r.instructions_per_op, 0),
+                   args.native  // native runs count no instructions
+                       ? "-"
+                       : stats::Table::num(r.instructions_per_op, 0),
                    stats::Table::num(100 * r.wasted_cycle_frac, 1),
                    stats::Table::num(r.lat_p50, 0),
                    stats::Table::num(r.lat_p99, 0)});

@@ -39,8 +39,9 @@ int main(int argc, char** argv) {
   }
   const auto results = bench::run_figure_sweep(specs, args);
 
-  stats::Table table({"panel", "theta", "threads", "tree", "throughput_mops",
-                      "aborts_per_op", "p50_cyc", "p99_cyc"});
+  stats::Table table(bench::with_latency_columns(
+      args, {"panel", "theta", "threads", "tree", "throughput_mops",
+             "aborts_per_op"}));
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& r = results[i];
     table.add_row({panels[i], stats::Table::num(specs[i].workload.dist_param),

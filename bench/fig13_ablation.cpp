@@ -36,8 +36,9 @@ int main(int argc, char** argv) {
   }
   const auto results = bench::run_figure_sweep(specs, args);
 
-  stats::Table table({"contention", "config", "throughput_mops", "relative",
-                      "aborts_per_op", "wasted_pct", "p50_cyc", "p99_cyc"});
+  stats::Table table(bench::with_latency_columns(
+      args, {"contention", "config", "throughput_mops", "relative",
+             "aborts_per_op", "wasted_pct"}));
   double baseline = 0;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const std::string& slug = specs[i].tree;

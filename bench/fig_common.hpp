@@ -220,6 +220,16 @@ inline std::vector<int> thread_sweep(bool quick) {
   return {1, 4, 8, 12, 16, 20};
 }
 
+/// A figure table's headers followed by its p50/p99 latency columns, named
+/// for their unit: simulated cycles, or wall nanoseconds on a native run.
+inline std::vector<std::string> with_latency_columns(
+    const stats::BenchArgs& args, std::vector<std::string> headers) {
+  const char* unit = args.native ? "_ns" : "_cyc";
+  headers.push_back(std::string("p50") + unit);
+  headers.push_back(std::string("p99") + unit);
+  return headers;
+}
+
 inline void print_header(const char* figure, const char* what,
                          const driver::ExperimentSpec& spec) {
   std::printf("== %s: %s ==\n", figure, what);

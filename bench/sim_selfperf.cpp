@@ -20,6 +20,7 @@
 //     quick Figure-10 sweep (4 panels x {4,16} threads x 4 trees = 32 cells),
 //     sequential and — when the host has cores — with --jobs=auto.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -83,21 +84,28 @@ double time_search_ns(int (*kern)(const std::uint64_t*, int, std::uint64_t),
   return wall_ms(t0, t1) * 1e6 / kIters;
 }
 
-// Scalar and SIMD timings of one kernel, interleaved over kRounds rounds,
-// keeping the minimum of each side: a CPU frequency step then slows both
-// sides of some round rather than one side of the whole comparison.
-void time_search_pair_ns(
+// Scalar and SIMD timings of one kernel, interleaved over kRounds rounds.
+// Reports the minimum of each side and returns the speedup as the median of
+// the per-round scalar/SIMD ratios: host speed that shifts between rounds or
+// whole runs moves both sides of a round alike and cancels in its ratio,
+// where a ratio of the two minima would carry it.
+double time_search_pair_ns(
     int (*scalar)(const std::uint64_t*, int, std::uint64_t),
     int (*simd)(const std::uint64_t*, int, std::uint64_t),
     const std::uint64_t* data, int n, const std::vector<std::uint64_t>& probes,
     std::uint64_t* sink, double* scalar_ns, double* simd_ns) {
   constexpr int kRounds = 7;
+  std::array<double, kRounds> ratios;
   *scalar_ns = *simd_ns = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < kRounds; ++r) {
-    *scalar_ns =
-        std::min(*scalar_ns, time_search_ns(scalar, data, n, probes, sink));
-    *simd_ns = std::min(*simd_ns, time_search_ns(simd, data, n, probes, sink));
+  for (double& ratio : ratios) {
+    const double sc = time_search_ns(scalar, data, n, probes, sink);
+    const double si = time_search_ns(simd, data, n, probes, sink);
+    *scalar_ns = std::min(*scalar_ns, sc);
+    *simd_ns = std::min(*simd_ns, si);
+    ratio = si > 0 ? sc / si : 0;
   }
+  std::nth_element(ratios.begin(), ratios.begin() + kRounds / 2, ratios.end());
+  return ratios[kRounds / 2];
 }
 
 }  // namespace
@@ -146,10 +154,8 @@ int main(int argc, char** argv) {
   const double obs_ns_per_access =
       orr.mem_accesses > 0 ? obs_ms * 1e6 / static_cast<double>(orr.mem_accesses)
                            : 0;
-  const bool obs_identical = orr.sim_cycles == hr.sim_cycles &&
-                             orr.aborts_total == hr.aborts_total &&
-                             orr.mem_accesses == hr.mem_accesses &&
-                             orr.fiber_switches == hr.fiber_switches;
+  const bool obs_identical =
+      driver::first_counter_diff(orr, hr, /*ignore_obs=*/true).empty();
   const double obs_overhead_pct =
       ns_per_access > 0 ? 100.0 * (obs_ns_per_access / ns_per_access - 1.0) : 0;
 
@@ -169,17 +175,13 @@ int main(int argc, char** argv) {
   }
   std::uint64_t sink = 0;
   double count_le_scalar_ns, count_le_simd_ns;
-  time_search_pair_ns(scalar_k.count_le, simd_k.count_le, keys.data(),
-                      kSearchFanout, probes, &sink, &count_le_scalar_ns,
-                      &count_le_simd_ns);
+  const double speedup_count_le = time_search_pair_ns(
+      scalar_k.count_le, simd_k.count_le, keys.data(), kSearchFanout, probes,
+      &sink, &count_le_scalar_ns, &count_le_simd_ns);
   double find_eq_scalar_ns, find_eq_simd_ns;
-  time_search_pair_ns(scalar_k.find_eq_pairs, simd_k.find_eq_pairs, kv.data(),
-                      kSearchFanout, probes, &sink, &find_eq_scalar_ns,
-                      &find_eq_simd_ns);
-  const double speedup_count_le =
-      count_le_simd_ns > 0 ? count_le_scalar_ns / count_le_simd_ns : 0;
-  const double speedup_find_eq =
-      find_eq_simd_ns > 0 ? find_eq_scalar_ns / find_eq_simd_ns : 0;
+  const double speedup_find_eq = time_search_pair_ns(
+      scalar_k.find_eq_pairs, simd_k.find_eq_pairs, kv.data(), kSearchFanout,
+      probes, &sink, &find_eq_scalar_ns, &find_eq_simd_ns);
   std::printf("search kernel: %s (sink %llu)\n", simd_k.name,
               static_cast<unsigned long long>(sink & 1));
 
@@ -217,10 +219,7 @@ int main(int argc, char** argv) {
   // (the determinism test covers this in depth; this is a cheap tripwire).
   bool identical = true;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (seq[i].sim_cycles != par[i].sim_cycles ||
-        seq[i].aborts_total != par[i].aborts_total) {
-      identical = false;
-    }
+    identical &= driver::first_counter_diff(seq[i], par[i]).empty();
   }
 
   stats::Table table({"metric", "value"});

@@ -21,59 +21,41 @@ channel perturbed the simulation.
 import json
 import sys
 
-# Conditional result keys: the manifest writer emits these only when nonzero.
-# The three three-path keys (middle_attempts, middle_commits, slow_path_ops)
-# exist solely for 3path-bptree; the four store keys (admitted_ops, shed_ops,
-# deadline_exceeded, shard_degradations) are the sharded store's robustness
-# counters, emitted as a group whenever any is nonzero; suffix_bytes exists
-# only in the bytes key domain. A produced manifest must not contain any
-# conditional key its golden lacks — if it does, a policy, store or
-# key-domain counter leaked into a run that should never produce one, and the
-# diagnostic should say so by name rather than as a generic structural diff.
-CONDITIONAL_KEYS = (
-    "middle_attempts",
-    "middle_commits",
-    "slow_path_ops",
-    "admitted_ops",
-    "shed_ops",
-    "deadline_exceeded",
-    "shard_degradations",
-    # Bytes-key-domain result metric: live out-of-line suffix/payload bytes.
-    # A u64-domain run must never allocate a BytesBox.
-    "suffix_bytes",
-)
 
-# Conditional *spec* keys: emitted only for bytes-domain workloads. A point
-# whose golden is a u64 run (every golden but fig_scan's) and that emits any
-# of these has a key-domain default leak — the most direct way the traits
-# refactor could silently change the benched configuration.
-CONDITIONAL_SPEC_KEYS = (
-    "key_domain",
-    "key_style",
-    "value_bytes",
-)
+def extra_keys(produced, golden, path):
+    """Paths of every key, at any depth, that `produced` has and `golden`
+    lacks."""
+    if isinstance(produced, dict) and isinstance(golden, dict):
+        extra = []
+        for key, value in produced.items():
+            if key not in golden:
+                extra.append(f"{path}.{key}")
+            else:
+                extra += extra_keys(value, golden[key], f"{path}.{key}")
+        return extra
+    if isinstance(produced, list) and isinstance(golden, list):
+        extra = []
+        for i, (p, g) in enumerate(zip(produced, golden)):
+            extra += extra_keys(p, g, f"{path}[{i}]")
+        return extra
+    return []
 
 
 def conditional_key_leaks(produced, golden):
-    """Conditional keys present in a produced sweep point but absent from the
-    matching golden point. Returns a list of '(point, key)' descriptions."""
+    """Keys a produced sweep point has under `result` or `spec` (spec.obs
+    aside) that its golden point lacks. The manifest writer emits a policy's,
+    the store's or a key domain's keys only when they apply, so such a key
+    leaked into a run that should never produce it; naming each beats a
+    generic first difference. Returns 'sweep[i].result.key'-style paths."""
     leaks = []
-    gold_sweep = golden.get("sweep", [])
-    for i, point in enumerate(produced.get("sweep", [])):
-        res = point.get("result")
-        gold_res = gold_sweep[i].get("result") if i < len(gold_sweep) else {}
-        if isinstance(res, dict) and isinstance(gold_res, dict):
-            for key in CONDITIONAL_KEYS:
-                if key in res and key not in gold_res:
-                    leaks.append(f"sweep[{i}].result.{key}")
-        spec = point.get("spec", {})
-        wl = spec.get("workload") if isinstance(spec, dict) else None
-        gold_spec = gold_sweep[i].get("spec") if i < len(gold_sweep) else {}
-        gold_wl = gold_spec.get("workload") if isinstance(gold_spec, dict) else {}
-        if isinstance(wl, dict) and isinstance(gold_wl, dict):
-            for key in CONDITIONAL_SPEC_KEYS:
-                if key in wl and key not in gold_wl:
-                    leaks.append(f"sweep[{i}].spec.workload.{key}")
+    points = zip(produced.get("sweep", []), golden.get("sweep", []))
+    for i, (point, gold) in enumerate(points):
+        for section in ("result", "spec"):
+            mine = point.get(section, {})
+            if section == "spec":
+                mine = {k: v for k, v in mine.items() if k != "obs"}
+            leaks += extra_keys(mine, gold.get(section, {}),
+                                f"sweep[{i}].{section}")
     return leaks
 
 
@@ -135,8 +117,8 @@ def main():
     golden = json.loads(golden_bytes)
     leaks = conditional_key_leaks(produced, golden)
     if leaks:
-        print(f"FAIL: {produced_path} emits conditional policy counters the "
-              f"golden {golden_path} predates", file=sys.stderr)
+        print(f"FAIL: {produced_path} emits keys the golden {golden_path} "
+              f"lacks", file=sys.stderr)
         for leak in leaks:
             print(f"  leaked key: {leak}", file=sys.stderr)
         return 1

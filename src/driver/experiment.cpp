@@ -6,6 +6,7 @@
 // or BytesKeys string key/payload materialization).
 #include "driver/experiment.hpp"
 
+#include <bit>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -45,9 +46,10 @@ void aggregate_stats(const ctx::SiteStats& s, ExperimentResult* r) {
   const auto conflicts = [&](htm::ConflictKind k) {
     return t.conflicts[static_cast<int>(k)];
   };
-  r->commits += t.commits;
-  r->attempts += t.attempts;
-  r->fallbacks += t.fallbacks;
+#define EUNO_FOLD(name, emit) r->name += t.name;
+  EUNO_TX_OUTCOME_COUNTERS(EUNO_FOLD)
+  EUNO_TX_PATH_COUNTERS(EUNO_FOLD)
+#undef EUNO_FOLD
   r->aborts_total += t.total_aborts();
   r->aborts_conflict += aborts(htm::AbortReason::kConflict);
   r->aborts_capacity += aborts(htm::AbortReason::kCapacity);
@@ -62,14 +64,6 @@ void aggregate_stats(const ctx::SiteStats& s, ExperimentResult* r) {
   r->upper_aborts += s.at(ctx::TxSite::kUpper).total_aborts();
   r->lower_aborts += s.at(ctx::TxSite::kLower).total_aborts();
   r->mono_aborts += s.at(ctx::TxSite::kMono).total_aborts();
-  r->lock_wait_cycles += t.lock_wait_cycles;
-  r->lock_wait_timeouts += t.lock_wait_timeouts;
-  r->backoff_cycles += t.backoff_cycles;
-  r->starvation_escapes += t.starvation_escapes;
-  r->degradations += t.degradations;
-  r->middle_attempts += t.middle_attempts;
-  r->middle_commits += t.middle_commits;
-  r->slow_path_ops += t.slow_path_ops;
 }
 
 // ---- key codecs: encode(id, value, put, fn) calls fn(key, payload...) ----
@@ -496,6 +490,19 @@ ExperimentResult run_registry(const ExperimentSpec& spec) {
 
 std::string tree_display_name(const std::string& slug) {
   return registered_tree(slug).display;
+}
+
+std::string first_counter_diff(const ExperimentResult& a,
+                               const ExperimentResult& b, bool ignore_obs) {
+  for (const ResultScalar& s : kResultScalars) {
+    if (ignore_obs && s.obs) continue;
+    const bool same = s.u64 != nullptr
+                          ? a.*s.u64 == b.*s.u64
+                          : std::bit_cast<std::uint64_t>(a.*s.f64) ==
+                                std::bit_cast<std::uint64_t>(b.*s.f64);
+    if (!same) return s.name;
+  }
+  return "";
 }
 
 ExperimentResult run_sim_experiment(const ExperimentSpec& spec) {

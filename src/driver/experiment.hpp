@@ -64,70 +64,78 @@ struct ExperimentSpec {
   store::StoreOptions store{};
 };
 
+/// How a result scalar appears in run manifests.
+enum class Emit : std::uint8_t {
+  kAlways,
+  kNonzero,     // only when nonzero: a policy's or key domain's own counter
+  kStoreGroup,  // the sharded store's counters: all of them when any is
+                // nonzero (a store run's zero companions still round-trip)
+  kNever,       // host-cost diagnostics, kept out of manifests
+};
+
+/// The scalar results, each declared once, in manifest key order:
+/// U(name, emit) is a std::uint64_t, D(name, precision, emit, obs) a double
+/// written with `precision` decimals, and `obs` marks the obs-channel
+/// quantities, which are zero when their channel is off. The TxStats counters
+/// forwarded by name come in through the EUNO_TX_*_COUNTERS lists
+/// (htm/policy.hpp) and are folded by the driver. Adding a counter is one
+/// line here or there plus its producer; keys that older manifests lack are
+/// kNonzero or kNever, so every golden stays byte-identical.
+#define EUNO_RESULT_SCALARS(U, D)                                             \
+  U(ops, kAlways)                                                             \
+  U(sim_cycles, kAlways)                                                      \
+  D(throughput_mops, 4, kAlways, false) /* million ops per second */         \
+  D(aborts_per_op, 5, kAlways, false)                                         \
+  EUNO_TX_OUTCOME_COUNTERS(U)                                                 \
+  /* Abort decomposition (conflict aborts by classified cause). */           \
+  U(aborts_total, kAlways)                                                    \
+  U(aborts_conflict, kAlways)                                                 \
+  U(aborts_capacity, kAlways)                                                 \
+  U(aborts_other, kAlways)                                                    \
+  U(conflicts_true_same_record, kAlways)                                      \
+  U(conflicts_false_record, kAlways)                                          \
+  U(conflicts_false_metadata, kAlways)                                        \
+  U(conflicts_lock_subscription, kAlways)                                     \
+  /* Region split: where did the aborts land? */                             \
+  U(upper_aborts, kAlways)                                                    \
+  U(lower_aborts, kAlways)                                                    \
+  U(mono_aborts, kAlways)                                                     \
+  EUNO_TX_PATH_COUNTERS(U)                                                    \
+  /* Sharded-store robustness accounting (src/store). */                     \
+  U(admitted_ops, kStoreGroup)       /* ops that passed the admission gate */ \
+  U(shed_ops, kStoreGroup)           /* ops rejected by the gate */           \
+  U(deadline_exceeded, kStoreGroup)  /* past their deadline at admission */   \
+  U(shard_degradations, kStoreGroup) /* stage-advancing transitions */        \
+  /* Injected faults (sim engine only; zero when the fault config is off). */ \
+  U(faults_spurious, kAlways)                                                 \
+  U(faults_burst, kAlways)                                                    \
+  U(faults_lock_delay, kAlways)                                               \
+  U(fault_capacity_phases, kAlways)                                           \
+  U(mem_accesses, kAlways) /* instrumented accesses (sim engine only) */      \
+  /* Fiber stack switches (sim engine only; Simulation::switch_count), a     \
+     host-cost diagnostic for bench/sim_selfperf. */                          \
+  U(fiber_switches, kNever)                                                   \
+  D(instructions_per_op, 3, kAlways, false)                                   \
+  D(wasted_cycle_frac, 5, kAlways, false) /* aborted-attempt cycles/total */ \
+  /* Bytes live at the end of the run, by the §5.7 classes, and in          \
+     out-of-line key-suffix/value boxes (bytes key domain only). */           \
+  U(mem_total, kAlways)                                                       \
+  U(mem_reserved, kAlways)                                                    \
+  U(mem_ccm, kAlways)                                                         \
+  U(suffix_bytes, kNonzero)                                                   \
+  /* Per-op latency percentiles (obs.latency; native: wall nanoseconds). */  \
+  D(lat_p50, 1, kAlways, true)                                                \
+  D(lat_p90, 1, kAlways, true)                                                \
+  D(lat_p99, 1, kAlways, true)                                                \
+  D(lat_p999, 1, kAlways, true)
+
 struct ExperimentResult {
-  std::uint64_t ops = 0;
-  std::uint64_t sim_cycles = 0;
-  double throughput_mops = 0;   // million ops per simulated second
-  double aborts_per_op = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t attempts = 0;
-  std::uint64_t fallbacks = 0;
-  // Abort decomposition (conflict aborts only, by classified cause).
-  std::uint64_t aborts_total = 0;
-  std::uint64_t aborts_conflict = 0;
-  std::uint64_t aborts_capacity = 0;
-  std::uint64_t aborts_other = 0;
-  std::uint64_t conflicts_true_same_record = 0;
-  std::uint64_t conflicts_false_record = 0;
-  std::uint64_t conflicts_false_metadata = 0;
-  std::uint64_t conflicts_lock_subscription = 0;
-  // Region split: where did the aborts land?
-  std::uint64_t upper_aborts = 0;
-  std::uint64_t lower_aborts = 0;
-  std::uint64_t mono_aborts = 0;
-  // Hardened retry/fallback path (zero under the naive policy).
-  std::uint64_t lock_wait_cycles = 0;    // cycles spent waiting on fallback lock
-  std::uint64_t lock_wait_timeouts = 0;  // wait episodes that hit the spin cap
-  std::uint64_t backoff_cycles = 0;      // cycles spent in post-abort backoff
-  std::uint64_t starvation_escapes = 0;  // fairness-hatch trips to the lock
-  std::uint64_t degradations = 0;        // HTM-health monitor lock-only flips
-  // Three-path policy accounting (3path-bptree; zero — and absent from
-  // manifests — for every other policy).
-  std::uint64_t middle_attempts = 0;      // three-path middle-path HTM attempts
-  std::uint64_t middle_commits = 0;       // three-path middle-path commits
-  std::uint64_t slow_path_ops = 0;        // ops completed on the slow path
-  // Sharded-store robustness accounting (src/store; zero — and absent from
-  // manifests — unless the spec enables the store layer).
-  std::uint64_t admitted_ops = 0;         // ops that passed the admission gate
-  std::uint64_t shed_ops = 0;             // ops rejected by the gate
-  std::uint64_t deadline_exceeded = 0;    // ops past their deadline at
-                                          // admission (never served)
-  std::uint64_t shard_degradations = 0;   // stage-advancing shard transitions
-  // Injected-fault accounting (sim engine only; zero when fault config off).
-  std::uint64_t faults_spurious = 0;
-  std::uint64_t faults_burst = 0;
-  std::uint64_t faults_lock_delay = 0;
-  std::uint64_t fault_capacity_phases = 0;
-  // Cost accounting.
-  std::uint64_t mem_accesses = 0;  // instrumented accesses (sim engine only)
-  /// Fiber stack switches (sim engine only; Simulation::switch_count). A
-  /// host-cost diagnostic for bench/sim_selfperf, kept out of manifests.
-  std::uint64_t fiber_switches = 0;
-  double instructions_per_op = 0;
-  double wasted_cycle_frac = 0;  // cycles in aborted attempts / total cycles
-  // Memory (bytes live at end of run, by the §5.7 classes).
-  std::uint64_t mem_total = 0;
-  std::uint64_t mem_reserved = 0;
-  std::uint64_t mem_ccm = 0;
-  /// Live bytes in out-of-line key-suffix/value boxes (bytes-domain runs
-  /// only; always 0 for u64 runs and conditional in manifests).
-  std::uint64_t suffix_bytes = 0;
-  // ---- observability (populated per ExperimentSpec::obs; zero when off) ----
-  // Per-op latency percentiles in simulated cycles (obs.latency channel).
-  double lat_p50 = 0;
-  double lat_p90 = 0;
-  double lat_p99 = 0;
-  double lat_p999 = 0;
+#define EUNO_RESULT_U64(name, emit) std::uint64_t name = 0;
+#define EUNO_RESULT_F64(name, precision, emit, obs) double name = 0;
+  EUNO_RESULT_SCALARS(EUNO_RESULT_U64, EUNO_RESULT_F64)
+#undef EUNO_RESULT_U64
+#undef EUNO_RESULT_F64
+  // ---- observability (populated per ExperimentSpec::obs; empty when off) ----
   /// Full per-op latency histogram (cycles; native: wall nanoseconds).
   obs::LatencyHistogram op_latency;
   /// Per-aborted-attempt wasted cycles.
@@ -146,6 +154,39 @@ struct ExperimentResult {
   /// native run; attempted stays false otherwise and the manifest omits it).
   obs::PerfSample perf;
 };
+
+/// One row of EUNO_RESULT_SCALARS, for loops over every scalar: exactly
+/// one of `u64`/`f64` is set.
+struct ResultScalar {
+  const char* name;
+  std::uint64_t ExperimentResult::*u64;
+  double ExperimentResult::*f64;
+  int precision;
+  Emit emit;
+  bool obs;
+
+  bool nonzero(const ExperimentResult& r) const {
+    return u64 != nullptr ? r.*u64 != 0 : r.*f64 != 0;
+  }
+};
+
+inline constexpr ResultScalar kResultScalars[] = {
+#define EUNO_RESULT_U64(name, emit) \
+  {#name, &ExperimentResult::name, nullptr, 0, Emit::emit, false},
+#define EUNO_RESULT_F64(name, precision, emit, obs) \
+  {#name, nullptr, &ExperimentResult::name, precision, Emit::emit, obs},
+    EUNO_RESULT_SCALARS(EUNO_RESULT_U64, EUNO_RESULT_F64)
+#undef EUNO_RESULT_U64
+#undef EUNO_RESULT_F64
+};
+
+/// Name of the first scalar, in manifest order, that is not bit-identical
+/// between `a` and `b`; "" when every one is. With `ignore_obs` the
+/// obs-channel quantities are skipped, for runs whose obs configurations
+/// differ. Every determinism check compares results through this.
+std::string first_counter_diff(const ExperimentResult& a,
+                               const ExperimentResult& b,
+                               bool ignore_obs = false);
 
 /// Runs the spec on the simulated multicore. Deterministic for a given spec.
 /// spec.threads must lie in [1, simulated core count].

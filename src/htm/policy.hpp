@@ -113,32 +113,44 @@ struct RetryPolicy {
   }
 };
 
+/// The scalar transaction counters, each declared once as X(name, emit).
+/// The two forwarded lists reach driver::ExperimentResult under the same
+/// names and are written to run manifests by `emit` (driver::Emit), at two
+/// points of the manifest's key order: the commit outcome after the headline
+/// figures, the hardened- and three-path accounting after the abort
+/// decomposition. Waiting counts are in the context's wait_clock units (sim
+/// simulated cycles, native cpu_relax iterations — DESIGN.md §10).
+#define EUNO_TX_OUTCOME_COUNTERS(X)                                        \
+  X(commits, kAlways)                                                      \
+  X(attempts, kAlways)                                                     \
+  X(fallbacks, kAlways) /* attempts completed under the fallback lock */
+#define EUNO_TX_PATH_COUNTERS(X)                                           \
+  X(lock_wait_cycles, kAlways)   /* waiting for fallback-lock release */   \
+  X(lock_wait_timeouts, kAlways) /* wait episodes that hit the spin cap */ \
+  X(backoff_cycles, kAlways)     /* post-abort backoff + re-arm grace */   \
+  X(starvation_escapes, kAlways) /* fairness hatch engagements */          \
+  X(degradations, kAlways)       /* HTM-health flips observed (the       \
+                                    flipping thread counts exactly one) */ \
+  /* Three-path policy (sync/three_path.hpp) only, so emitted only when  \
+     nonzero: manifests of every other tree stay byte-identical. */        \
+  X(middle_attempts, kNonzero)   /* middle-path HTM attempts */            \
+  X(middle_commits, kNonzero)    /* middle-path commits */                 \
+  X(slow_path_ops, kNonzero)     /* ops completed on the lock-free-style \
+                                    slow path (announced, no HTM) */
+/// Every scalar TxStats counter: the forwarded ones, then epoch_retired —
+/// nodes handed to epoch reclamation by a policy. No current policy counts
+/// any (the tree-level EpochManager keeps its own ledger) and no result
+/// carries it; perfbench reports it as epoch.retired_per_op.
+#define EUNO_TX_COUNTERS(X) \
+  EUNO_TX_OUTCOME_COUNTERS(X) EUNO_TX_PATH_COUNTERS(X) X(epoch_retired, kNever)
+
 /// Per-thread transaction counters. Aggregated by the experiment driver.
 struct TxStats {
-  std::uint64_t attempts = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t fallbacks = 0;  // attempts completed under the fallback lock
+#define EUNO_TX_DECLARE(name, emit) std::uint64_t name = 0;
+  EUNO_TX_COUNTERS(EUNO_TX_DECLARE)
+#undef EUNO_TX_DECLARE
   std::array<std::uint64_t, static_cast<std::size_t>(AbortReason::kCount)> aborts{};
   std::array<std::uint64_t, static_cast<std::size_t>(ConflictKind::kCount)> conflicts{};
-  // ---- hardened-path accounting (in the context's wait_clock units: sim
-  // simulated cycles, native cpu_relax iterations — DESIGN.md §10) ----
-  std::uint64_t lock_wait_cycles = 0;    // waiting for fallback-lock release
-  std::uint64_t lock_wait_timeouts = 0;  // wait episodes that hit the spin cap
-  std::uint64_t backoff_cycles = 0;      // post-abort backoff + re-arm grace
-  std::uint64_t starvation_escapes = 0;  // fairness hatch engagements
-  std::uint64_t degradations = 0;        // HTM-health flips observed (the
-                                         // flipping thread counts exactly one)
-  // ---- three-path policy accounting (sync/three_path.hpp; zero for every
-  // other policy, and their manifest keys are emitted only when nonzero so
-  // pre-existing goldens stay byte-identical)
-  std::uint64_t middle_attempts = 0;      // three-path middle-path HTM attempts
-  std::uint64_t middle_commits = 0;       // three-path middle-path commits
-  std::uint64_t slow_path_ops = 0;        // ops completed on the lock-free-style
-                                          // slow path (announced, no HTM)
-  // Nodes handed to epoch reclamation by a policy. No current policy counts
-  // any (the tree-level EpochManager keeps its own ledger); perfbench reports
-  // it as epoch.retired_per_op.
-  std::uint64_t epoch_retired = 0;
 
   void note_abort(const TxResult& r) {
     aborts[static_cast<std::size_t>(r.reason)]++;
@@ -153,21 +165,12 @@ struct TxStats {
     return sum;
   }
 
-  TxStats& operator+=(const TxStats& o) {
-    attempts += o.attempts;
-    commits += o.commits;
-    fallbacks += o.fallbacks;
-    for (std::size_t i = 0; i < aborts.size(); ++i) aborts[i] += o.aborts[i];
-    for (std::size_t i = 0; i < conflicts.size(); ++i) conflicts[i] += o.conflicts[i];
-    lock_wait_cycles += o.lock_wait_cycles;
-    lock_wait_timeouts += o.lock_wait_timeouts;
-    backoff_cycles += o.backoff_cycles;
-    starvation_escapes += o.starvation_escapes;
-    degradations += o.degradations;
-    middle_attempts += o.middle_attempts;
-    middle_commits += o.middle_commits;
-    slow_path_ops += o.slow_path_ops;
-    epoch_retired += o.epoch_retired;
+  TxStats& operator+=(const TxStats& rhs) {
+#define EUNO_TX_ADD(name, emit) name += rhs.name;
+    EUNO_TX_COUNTERS(EUNO_TX_ADD)
+#undef EUNO_TX_ADD
+    for (std::size_t i = 0; i < aborts.size(); ++i) aborts[i] += rhs.aborts[i];
+    for (std::size_t i = 0; i < conflicts.size(); ++i) conflicts[i] += rhs.conflicts[i];
     return *this;
   }
 };

@@ -231,67 +231,23 @@ void write_perf(JsonWriter& w, const PerfSample& p) {
 void write_result(JsonWriter& w, const driver::ExperimentResult& r) {
   w.key("result");
   w.begin_object();
-  w.kv("ops", r.ops);
-  w.kv("sim_cycles", r.sim_cycles);
-  w.kv("throughput_mops", r.throughput_mops, 4);
-  w.kv("aborts_per_op", r.aborts_per_op, 5);
-  w.kv("commits", r.commits);
-  w.kv("attempts", r.attempts);
-  w.kv("fallbacks", r.fallbacks);
-  w.kv("aborts_total", r.aborts_total);
-  w.kv("aborts_conflict", r.aborts_conflict);
-  w.kv("aborts_capacity", r.aborts_capacity);
-  w.kv("aborts_other", r.aborts_other);
-  w.kv("conflicts_true_same_record", r.conflicts_true_same_record);
-  w.kv("conflicts_false_record", r.conflicts_false_record);
-  w.kv("conflicts_false_metadata", r.conflicts_false_metadata);
-  w.kv("conflicts_lock_subscription", r.conflicts_lock_subscription);
-  w.kv("upper_aborts", r.upper_aborts);
-  w.kv("lower_aborts", r.lower_aborts);
-  w.kv("mono_aborts", r.mono_aborts);
-  w.kv("lock_wait_cycles", r.lock_wait_cycles);
-  w.kv("lock_wait_timeouts", r.lock_wait_timeouts);
-  w.kv("backoff_cycles", r.backoff_cycles);
-  w.kv("starvation_escapes", r.starvation_escapes);
-  w.kv("degradations", r.degradations);
-  // Three-path policy counters are conditional keys: they are nonzero only
-  // for the policy that produces them (3path-bptree), so manifests from
-  // every other tree — including every pre-existing golden fixture — stay
-  // byte-identical.
-  if (r.middle_attempts != 0) w.kv("middle_attempts", r.middle_attempts);
-  if (r.middle_commits != 0) w.kv("middle_commits", r.middle_commits);
-  if (r.slow_path_ops != 0) w.kv("slow_path_ops", r.slow_path_ops);
-  // Sharded-store robustness counters: conditional for the same reason.
-  // admitted_ops keys the group (nonzero for any store run that admitted
-  // anything); the zero-valued companions of a store run still matter for
-  // round-tripping, so they are gated on admitted_ops rather than their own
-  // value — but a run with admitted_ops == 0 and any nonzero companion (a
-  // fully-shedding store) must not lose them either, hence the any-nonzero
-  // gate.
-  if (r.admitted_ops != 0 || r.shed_ops != 0 || r.deadline_exceeded != 0 ||
-      r.shard_degradations != 0) {
-    w.kv("admitted_ops", r.admitted_ops);
-    w.kv("shed_ops", r.shed_ops);
-    w.kv("deadline_exceeded", r.deadline_exceeded);
-    w.kv("shard_degradations", r.shard_degradations);
+  // The scalars, by the table's order and emit rules (driver::Emit).
+  bool store_run = false;
+  for (const auto& s : driver::kResultScalars) {
+    store_run |= s.emit == driver::Emit::kStoreGroup && s.nonzero(r);
   }
-  w.kv("faults_spurious", r.faults_spurious);
-  w.kv("faults_burst", r.faults_burst);
-  w.kv("faults_lock_delay", r.faults_lock_delay);
-  w.kv("fault_capacity_phases", r.fault_capacity_phases);
-  w.kv("mem_accesses", r.mem_accesses);
-  w.kv("instructions_per_op", r.instructions_per_op, 3);
-  w.kv("wasted_cycle_frac", r.wasted_cycle_frac, 5);
-  w.kv("mem_total", r.mem_total);
-  w.kv("mem_reserved", r.mem_reserved);
-  w.kv("mem_ccm", r.mem_ccm);
-  // Conditional: nonzero only when the run stored out-of-line boxes (bytes
-  // domain), keeping u64 manifests — and every golden — byte-identical.
-  if (r.suffix_bytes != 0) w.kv("suffix_bytes", r.suffix_bytes);
-  w.kv("lat_p50", r.lat_p50, 1);
-  w.kv("lat_p90", r.lat_p90, 1);
-  w.kv("lat_p99", r.lat_p99, 1);
-  w.kv("lat_p999", r.lat_p999, 1);
+  for (const auto& s : driver::kResultScalars) {
+    if (s.emit == driver::Emit::kNever ||
+        (s.emit == driver::Emit::kNonzero && !s.nonzero(r)) ||
+        (s.emit == driver::Emit::kStoreGroup && !store_run)) {
+      continue;
+    }
+    if (s.u64 != nullptr) {
+      w.kv(s.name, r.*s.u64);
+    } else {
+      w.kv(s.name, r.*s.f64, s.precision);
+    }
+  }
   write_histogram(w, "latency_cycles", r.op_latency);
   write_histogram(w, "abort_wasted_cycles", r.abort_wasted);
   w.key("hot_lines");

@@ -43,9 +43,21 @@ TEST(Driver, AllTreesRunAndProduceOps) {
 TEST(Driver, Deterministic) {
   const auto a = run_sim_experiment(small_spec("euno", 0.9, 8));
   const auto b = run_sim_experiment(small_spec("euno", 0.9, 8));
-  EXPECT_EQ(a.sim_cycles, b.sim_cycles);
-  EXPECT_EQ(a.aborts_total, b.aborts_total);
-  EXPECT_EQ(a.commits, b.commits);
+  EXPECT_EQ(first_counter_diff(a, b), "");
+}
+
+TEST(Driver, FirstCounterDiffCoversEveryScalar) {
+  for (const ResultScalar& s : kResultScalars) {
+    ExperimentResult a, b;
+    if (s.u64 != nullptr) {
+      b.*s.u64 = 1;
+    } else {
+      b.*s.f64 = -0.0;  // == 0.0, but not bit for bit
+    }
+    EXPECT_EQ(first_counter_diff(a, b), s.name);
+    EXPECT_EQ(first_counter_diff(a, b, /*ignore_obs=*/true),
+              s.obs ? "" : s.name);
+  }
 }
 
 TEST(Driver, BaselineAbortsGrowWithContention) {

@@ -187,6 +187,14 @@ TEST(FigCommon, FigureSpecHonorsArgs) {
   EXPECT_EQ(spec.preload, 512u);
 }
 
+TEST(FigCommon, LatencyColumnsNameTheirUnit) {
+  // Simulated latencies are cycles; native ones are wall nanoseconds.
+  EXPECT_EQ(bench::with_latency_columns(parse({}), {"theta"}),
+            (std::vector<std::string>{"theta", "p50_cyc", "p99_cyc"}));
+  EXPECT_EQ(bench::with_latency_columns(parse({"--native"}), {"theta"}),
+            (std::vector<std::string>{"theta", "p50_ns", "p99_ns"}));
+}
+
 TEST(FigCommon, RunFigureSweepSequentialFallback) {
   // jobs=1 (the default) must be the plain sequential loop: identical to
   // calling run_sim_experiment per spec, in order.
@@ -210,10 +218,7 @@ TEST(FigCommon, RunFigureSweepSequentialFallback) {
   ASSERT_EQ(swept.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto direct = driver::run_sim_experiment(specs[i]);
-    EXPECT_EQ(swept[i].sim_cycles, direct.sim_cycles);
-    EXPECT_EQ(swept[i].ops, direct.ops);
-    EXPECT_EQ(swept[i].aborts_total, direct.aborts_total);
-    EXPECT_EQ(swept[i].mem_accesses, direct.mem_accesses);
+    EXPECT_EQ(driver::first_counter_diff(swept[i], direct), "") << i;
   }
 }
 

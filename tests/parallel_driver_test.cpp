@@ -39,44 +39,15 @@ std::vector<ExperimentSpec> small_sweep() {
   return specs;
 }
 
-// Field-by-field comparison so a regression names the quantity that diverged.
-void expect_identical(const ExperimentResult& a, const ExperimentResult& b,
-                      std::size_t i) {
-  SCOPED_TRACE("spec index " + std::to_string(i));
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.sim_cycles, b.sim_cycles);
-  EXPECT_EQ(a.throughput_mops, b.throughput_mops);
-  EXPECT_EQ(a.aborts_per_op, b.aborts_per_op);
-  EXPECT_EQ(a.commits, b.commits);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.fallbacks, b.fallbacks);
-  EXPECT_EQ(a.aborts_total, b.aborts_total);
-  EXPECT_EQ(a.aborts_conflict, b.aborts_conflict);
-  EXPECT_EQ(a.aborts_capacity, b.aborts_capacity);
-  EXPECT_EQ(a.aborts_other, b.aborts_other);
-  EXPECT_EQ(a.conflicts_true_same_record, b.conflicts_true_same_record);
-  EXPECT_EQ(a.conflicts_false_record, b.conflicts_false_record);
-  EXPECT_EQ(a.conflicts_false_metadata, b.conflicts_false_metadata);
-  EXPECT_EQ(a.conflicts_lock_subscription, b.conflicts_lock_subscription);
-  EXPECT_EQ(a.upper_aborts, b.upper_aborts);
-  EXPECT_EQ(a.lower_aborts, b.lower_aborts);
-  EXPECT_EQ(a.mono_aborts, b.mono_aborts);
-  EXPECT_EQ(a.mem_accesses, b.mem_accesses);
-  EXPECT_EQ(a.fiber_switches, b.fiber_switches);
-  EXPECT_EQ(a.instructions_per_op, b.instructions_per_op);
-  EXPECT_EQ(a.wasted_cycle_frac, b.wasted_cycle_frac);
-  EXPECT_EQ(a.mem_total, b.mem_total);
-  EXPECT_EQ(a.mem_reserved, b.mem_reserved);
-  EXPECT_EQ(a.mem_ccm, b.mem_ccm);
-}
-
 TEST(ParallelDriver, SequentialIsRepeatable) {
   const auto specs = small_sweep();
   const auto a = run_sim_experiments(specs, 1);
   const auto b = run_sim_experiments(specs, 1);
   ASSERT_EQ(a.size(), specs.size());
   ASSERT_EQ(b.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) expect_identical(a[i], b[i], i);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(first_counter_diff(a[i], b[i]), "") << "spec index " << i;
+  }
 }
 
 TEST(ParallelDriver, ParallelMatchesSequentialBitForBit) {
@@ -85,7 +56,7 @@ TEST(ParallelDriver, ParallelMatchesSequentialBitForBit) {
   const auto par = run_sim_experiments(specs, 4);
   ASSERT_EQ(par.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(seq[i], par[i], i);
+    EXPECT_EQ(first_counter_diff(seq[i], par[i]), "") << "spec index " << i;
   }
 }
 
@@ -95,7 +66,8 @@ TEST(ParallelDriver, MatchesSingleExperimentRunner) {
   specs.resize(3);
   const auto batch = run_sim_experiments(specs, 2);
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(run_sim_experiment(specs[i]), batch[i], i);
+    EXPECT_EQ(first_counter_diff(run_sim_experiment(specs[i]), batch[i]), "")
+        << "spec index " << i;
   }
 }
 
@@ -110,7 +82,7 @@ TEST(ParallelDriver, EdgeCases) {
   const auto par = run_sim_experiments(specs, 16);
   ASSERT_EQ(par.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(seq[i], par[i], i);
+    EXPECT_EQ(first_counter_diff(seq[i], par[i]), "") << "spec index " << i;
   }
 }
 

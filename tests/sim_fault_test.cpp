@@ -28,24 +28,6 @@ driver::ExperimentSpec base_spec() {
   return spec;
 }
 
-void expect_same_counters(const driver::ExperimentResult& a,
-                          const driver::ExperimentResult& b) {
-  EXPECT_EQ(a.sim_cycles, b.sim_cycles);
-  EXPECT_EQ(a.commits, b.commits);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.fallbacks, b.fallbacks);
-  EXPECT_EQ(a.aborts_total, b.aborts_total);
-  EXPECT_EQ(a.aborts_conflict, b.aborts_conflict);
-  EXPECT_EQ(a.aborts_capacity, b.aborts_capacity);
-  EXPECT_EQ(a.aborts_other, b.aborts_other);
-  EXPECT_EQ(a.lock_wait_cycles, b.lock_wait_cycles);
-  EXPECT_EQ(a.backoff_cycles, b.backoff_cycles);
-  EXPECT_EQ(a.faults_spurious, b.faults_spurious);
-  EXPECT_EQ(a.faults_burst, b.faults_burst);
-  EXPECT_EQ(a.faults_lock_delay, b.faults_lock_delay);
-  EXPECT_EQ(a.fault_capacity_phases, b.fault_capacity_phases);
-}
-
 std::string slurp(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   std::stringstream ss;
@@ -70,7 +52,7 @@ TEST(SimFault, SpuriousCampaignIsSeedDeterministic) {
   spec.machine.fault.spurious_abort_bp = 50;
   const auto a = run_sim_experiment(spec);
   const auto b = run_sim_experiment(spec);
-  expect_same_counters(a, b);
+  EXPECT_EQ(driver::first_counter_diff(a, b), "");
   // A different fault seed must draw a different abort pattern (with these
   // access counts a collision would be astronomically unlikely).
   auto spec2 = spec;
@@ -87,7 +69,7 @@ TEST(SimFault, FaultRngDoesNotPerturbTheBaseline) {
   auto spec2 = base_spec();
   spec2.machine.fault.seed = 12345;  // any() still false
   const auto r = run_sim_experiment(spec2);
-  expect_same_counters(base, r);
+  EXPECT_EQ(driver::first_counter_diff(base, r), "");
 }
 
 // ---- capacity schedules ----
@@ -103,7 +85,7 @@ TEST(SimFault, CapacityShrinkForcesCapacityAborts) {
   EXPECT_GT(r.commits, 0u);
 
   const auto b = run_sim_experiment(spec);
-  expect_same_counters(r, b);
+  EXPECT_EQ(driver::first_counter_diff(r, b), "");
 }
 
 TEST(SimFault, CapacityScheduleCanRecover) {
@@ -127,7 +109,7 @@ TEST(SimFault, AbortBurstDoomsBegins) {
   EXPECT_GT(r.commits, 0u);
 
   const auto b = run_sim_experiment(spec);
-  expect_same_counters(r, b);
+  EXPECT_EQ(driver::first_counter_diff(r, b), "");
 }
 
 TEST(SimFault, PartialBurstAbortsFewerThanFullBurst) {
@@ -167,7 +149,7 @@ TEST(SimFault, LockHolderDelayInflatesWaiting) {
   EXPECT_GT(r.sim_cycles, base.sim_cycles);
 
   const auto b = run_sim_experiment(spec);
-  expect_same_counters(r, b);
+  EXPECT_EQ(driver::first_counter_diff(r, b), "");
 }
 
 // The delay scenario only makes sense for trees that can acquire the global
