@@ -5,6 +5,7 @@
 #   scripts/ci.sh tsan      # ThreadSanitizer build, thread-heavy suites only
 #   scripts/ci.sh asan      # AddressSanitizer build, fault-campaign suites
 #   scripts/ci.sh ubsan     # UBSan-only build, conformance + fault suites
+#   scripts/ci.sh obsoff    # -DEUNO_OBS=OFF build, full test suite
 #
 # The default job re-runs the `golden` label explicitly: the fig08,
 # abl_fallback, fig_latency_load, fig_scan and fig13 ablation-ladder
@@ -60,6 +61,10 @@
 # `sim-engine` label (the scheduler reference-model test). UBSan is the one
 # sanitizer build that keeps the engine's hand-written x86-64 stack switch;
 # ASan and TSan builds switch fibers with swapcontext instead.
+# The obsoff job rebuilds with -DEUNO_OBS=OFF (observability compiled out)
+# and runs the full suite: results must not depend on the obs channels, and
+# every check that reads an obs-only figure (latency percentiles, traces)
+# must gate itself on obs::kCompiledIn rather than fail in such a build.
 # The lin checker builds trees only through the registry, so
 # lin_mutation_test compiles builtin_trees.cpp, registry.cpp and
 # simd_search.cpp itself under the mutation defines instead of linking
@@ -107,8 +112,13 @@ case "$job" in
     ctest --test-dir build-ubsan --output-on-failure \
       -L "conformance|fault|lin|sim-engine|driver"
     ;;
+  obsoff)
+    cmake -B build-obsoff -S . -DEUNO_OBS=OFF
+    cmake --build build-obsoff -j
+    ctest --test-dir build-obsoff --output-on-failure -j "$(nproc)"
+    ;;
   *)
-    echo "usage: $0 [default|tsan|asan|ubsan]" >&2
+    echo "usage: $0 [default|tsan|asan|ubsan|obsoff]" >&2
     exit 2
     ;;
 esac

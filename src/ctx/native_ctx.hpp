@@ -109,14 +109,16 @@ class NativeCtx : public RetryLoop<NativeCtx> {
   // ---- allocation ----
 
   void* alloc(std::size_t bytes, MemClass cls, sim::LineKind /*kind*/) {
-    void* p = ::operator new(cacheline_round_up(bytes), std::align_val_t{kCacheLineSize});
-    MemStats::instance().note_alloc(cls, cacheline_round_up(bytes));
+    const Block b = block_for(bytes, cls);
+    void* p = b.line_aligned
+                  ? ::operator new(b.bytes, std::align_val_t{kCacheLineSize})
+                  : ::operator new(b.bytes);
+    MemStats::instance().note_alloc(cls, b.bytes);
     return p;
   }
 
   void free(void* p, std::size_t bytes, MemClass cls) {
-    MemStats::instance().note_free(cls, cacheline_round_up(bytes));
-    ::operator delete(p, std::align_val_t{kCacheLineSize});
+    release(p, bytes, cls);
   }
 
   /// Line-kind tagging is a simulator concept; no-op natively.
@@ -124,10 +126,7 @@ class NativeCtx : public RetryLoop<NativeCtx> {
 
   /// Deleter usable from any thread at any later time (epoch reclamation).
   std::function<void(void*)> make_deleter(std::size_t bytes, MemClass cls) {
-    return [bytes, cls](void* p) {
-      MemStats::instance().note_free(cls, cacheline_round_up(bytes));
-      ::operator delete(p, std::align_val_t{kCacheLineSize});
-    };
+    return [bytes, cls](void* p) { release(p, bytes, cls); };
   }
 
   // ---- annotations ----
@@ -241,6 +240,30 @@ class NativeCtx : public RetryLoop<NativeCtx> {
   void after_acquire() {}
   void release_fallback(FallbackLock& lock) {
     lock.word.store(0, std::memory_order_release);
+  }
+
+  /// How one block sits on the heap. Nodes, CCM and the other classes are
+  /// rounded to whole cache lines and line-aligned: their layouts place
+  /// headers and records on line boundaries. Bytes-domain boxes are
+  /// immutable after publication, so alignment buys them nothing; they take
+  /// the default allocator at their own size (the aligned path leaves a
+  /// free-list fragment behind each small block).
+  struct Block {
+    std::size_t bytes;
+    bool line_aligned;
+  };
+  static Block block_for(std::size_t bytes, MemClass cls) {
+    if (cls == MemClass::kBytesBox) return Block{bytes, false};
+    return Block{cacheline_round_up(bytes), true};
+  }
+  static void release(void* p, std::size_t bytes, MemClass cls) {
+    const Block b = block_for(bytes, cls);
+    MemStats::instance().note_free(cls, b.bytes);
+    if (b.line_aligned) {
+      ::operator delete(p, std::align_val_t{kCacheLineSize});
+    } else {
+      ::operator delete(p);
+    }
   }
 
   int tid_;

@@ -335,9 +335,7 @@ class BPlusTree {
         Node* leaf = descend(c, start);
         while (leaf != nullptr && tn < max_items) {
           const int n = static_cast<int>(c.read(leaf->count));
-          for (int i = 0; i < n && tn < max_items; ++i) {
-            Traits::scan_probe(c, leaf, i, cursor, tmp.get(), tn);
-          }
+          Traits::scan_fill(c, leaf, n, cursor, tmp.get(), tn, max_items);
           leaf = c.read(leaf->next);
         }
       });
@@ -694,9 +692,7 @@ class BPlusTree {
       typename Traits::ScanTmp tmp[F];
       std::size_t tn = 0;
       const int n = static_cast<int>(c.read(leaf->count));
-      for (int i = 0; i < n; ++i) {
-        Traits::scan_probe(c, leaf, i, cursor, tmp, tn);
-      }
+      Traits::scan_fill(c, leaf, n, cursor, tmp, tn, max_items - got);
       Node* next = c.read(leaf->next);
       if (!policy_.validate(c, leaf, v)) {
         // Re-locate from the cursor; nothing emitted from this attempt.

@@ -106,6 +106,11 @@ struct BytesBox {
   std::uint64_t meta = 0;   // klen | (vlen << 32)
   std::uint64_t value = 0;  // the u64 value word get() returns
 
+  /// Bytes a search prefetches per box. Boxes are not line-aligned, so the
+  /// lines at +0, +64 and +128 are what it takes to cover the header and at
+  /// least the first 112 key bytes wherever the box starts in its line.
+  static constexpr std::size_t kPrefetchBytes = 192;
+
   static constexpr std::size_t pad8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
   static std::size_t size_for(std::size_t klen, std::size_t vlen) {
     return sizeof(BytesBox) + pad8(klen) + pad8(vlen);
@@ -317,12 +322,17 @@ struct U64KeyTraits {
     if (k < cursor) return;
     out[got++] = KV{k, c.read(leaf->recs[i].value)};
   }
+  /// Fills a leaf's scan candidates: every record at or after the cursor.
+  /// Probes all n records (the access sequence the goldens pin), so `tmp`
+  /// must hold n entries; `limit` is left to the caller's emit loop.
   template <class Ctx, class Node>
-  static void scan_probe(Ctx& c, Node* leaf, int i, const Cursor& cursor,
-                         ScanTmp* tmp, std::size_t& tn) {
-    const Key k = c.read(leaf->recs[i].key);
-    if (k < cursor) return;
-    tmp[tn++] = KV{k, c.read(leaf->recs[i].value)};
+  static void scan_fill(Ctx& c, Node* leaf, int n, const Cursor& cursor,
+                        ScanTmp* tmp, std::size_t& tn, std::size_t /*limit*/) {
+    for (int i = 0; i < n; ++i) {
+      const Key k = c.read(leaf->recs[i].key);
+      if (k < cursor) continue;
+      tmp[tn++] = KV{k, c.read(leaf->recs[i].value)};
+    }
   }
   template <class Ctx, class Dst>
   static void commit_emit(Ctx&, const ScanTmp& t, Dst out, std::size_t& got,
@@ -574,16 +584,39 @@ struct BytesKeyTraits {
     return cmp < 0 || (cmp == 0 && cursor.excl);
   }
 
-  // (No scan_step: bytes scans always go through scan_probe/commit_emit.
+  // (No scan_step: bytes scans always go through scan_fill/commit_emit.
   // Even the monolithic body defers emission past the transaction — the
   // emit callback must fire exactly once per record, and the region body
   // can re-execute on abort.)
+  /// Fills a leaf's scan candidates while tn < limit. Records are sorted, so
+  /// only the run start needs compares: record 0 at or after the cursor (the
+  /// one compare every later leaf of a scan needs) takes the whole leaf;
+  /// otherwise the leaf's boxes are prefetched and the first record at or
+  /// after the cursor is binary-searched. Records from there are taken
+  /// without further compares.
   template <class Ctx, class Node>
-  static void scan_probe(Ctx& c, Node* leaf, int i, const Cursor& cursor,
-                         ScanTmp* tmp, std::size_t& tn) {
-    const Key p = c.read(leaf->recs[i].key);
-    if (before_cursor(c, leaf, i, cursor, p)) return;
-    tmp[tn++] = ScanTmp{p, rec_box(c, leaf, i)};
+  static void scan_fill(Ctx& c, Node* leaf, int n, const Cursor& cursor,
+                        ScanTmp* tmp, std::size_t& tn, std::size_t limit) {
+    if (n == 0 || tn >= limit) return;
+    int lo = 0;
+    if (before_cursor(c, leaf, 0, cursor, c.read(leaf->recs[0].key))) {
+      for (int i = 1; i < n; ++i) {
+        c.prefetch(rec_box(c, leaf, i), BytesBox::kPrefetchBytes);
+      }
+      lo = 1;
+      for (int hi = n; lo < hi;) {
+        const int mid = (lo + hi) / 2;
+        const Key p = c.read(leaf->recs[mid].key);
+        if (before_cursor(c, leaf, mid, cursor, p)) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+    }
+    for (int i = lo; i < n && tn < limit; ++i) {
+      tmp[tn++] = ScanTmp{c.read(leaf->recs[i].key), rec_box(c, leaf, i)};
+    }
   }
   /// Post-validate emit: the box is immutable and epoch-protected, so its
   /// contents need no revalidation even though the leaf moved on.

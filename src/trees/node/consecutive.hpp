@@ -119,24 +119,46 @@ struct VersionedNode {
 
 // ---- shared record-movement primitives ----
 
+/// Prefetches the boxes of slots [lo, hi) when the range holds more than one
+/// (each pointer read through the ctx): a run of equal prefix slices is about
+/// to be binary-searched by suffix tie-break, and the probes would otherwise
+/// miss on one box after another. A single box is compared at once.
+template <class Ctx, class BoxAt>
+void prefetch_run(Ctx& c, int lo, int hi, BoxAt&& box_at) {
+  if (hi - lo < 2) return;
+  for (int i = lo; i < hi; ++i) {
+    c.prefetch(box_at(i), BytesBox::kPrefetchBytes);
+  }
+}
+
 /// Index of the child subtree covering `key`: the number of separators
 /// <= key (separators equal the first key of their right subtree).
 /// Binary search, as in production trees. Raw-memory contexts (NativeCtx)
 /// take the vectorized count_le instead — same result on the sorted
 /// separator array; the instrumented path must stay per-element c.read()
 /// because those accesses define the simulated cost model. Bytes-domain
-/// nodes run the SIMD kernel on the prefix slices, then walk back over the
-/// equal-prefix run with the scalar suffix tie-break.
+/// nodes bound the equal-slice run with two count_le calls (slices <= and
+/// < the key's), prefetch the run's separator boxes, and binary-search the
+/// run by suffix tie-break.
 template <class Traits = U64KeyTraits, class Ctx, class Node>
 int child_index(Ctx& c, Node* n, const typename Traits::Arg& key) {
   if constexpr (ctx_raw_memory_v<Ctx>) {
     const int cnt = static_cast<int>(c.read(n->count));
     if constexpr (Traits::kIndirect) {
-      int lo = simd::count_le(&n->idx.keys[0], cnt, key.prefix);
-      while (lo > 0 && c.read(n->idx.keys[lo - 1]) == key.prefix &&
-             box_key_compare(c, Traits::sep_box(c, n, lo - 1), key.data,
-                             key.len) > 0) {
-        --lo;
+      const Key* keys = &n->idx.keys[0];
+      int hi = simd::count_le(keys, cnt, key.prefix);
+      int lo = key.prefix == 0 ? 0 : simd::count_le(keys, cnt, key.prefix - 1);
+      const auto box_at = [&](int i) { return Traits::sep_box(c, n, i); };
+      prefetch_run(c, lo, hi, box_at);
+      // Separators in [lo, hi) share the key's slice: find the first whose
+      // full key exceeds it.
+      while (lo < hi) {
+        const int mid = (lo + hi) / 2;
+        if (box_key_compare(c, box_at(mid), key.data, key.len) <= 0) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
       }
       return lo;
     } else {
@@ -158,7 +180,10 @@ int child_index(Ctx& c, Node* n, const typename Traits::Arg& key) {
 /// Position of `key` in a leaf, or -1. Binary search over the sorted
 /// records: every lookup probes the middle record lines, so operations on
 /// *different* keys of one leaf share lines — the false-conflict surface
-/// of §2.3.
+/// of §2.3. Raw-memory contexts locate the key's slice with find_eq_pairs;
+/// bytes-domain leaves then walk forward over the in-node slices to the end
+/// of the equal-slice run, prefetch its boxes and binary-search it by
+/// suffix tie-break.
 template <class Traits = U64KeyTraits, class Ctx, class Node>
 int leaf_find(Ctx& c, Node* leaf, const typename Traits::Arg& key) {
   if constexpr (ctx_raw_memory_v<Ctx>) {
@@ -167,17 +192,23 @@ int leaf_find(Ctx& c, Node* leaf, const typename Traits::Arg& key) {
                   "find_eq_pairs assumes interleaved {key, value} u64 pairs");
     const int cnt = static_cast<int>(c.read(leaf->count));
     if constexpr (Traits::kIndirect) {
-      // SIMD locates a prefix match; distinct keys may share a slice, so
-      // resolve within the equal-prefix run by full compare.
-      int m = simd::find_eq_pairs(
+      // find_eq_pairs returns the first record of the run.
+      int lo = simd::find_eq_pairs(
           reinterpret_cast<const std::uint64_t*>(&leaf->recs[0]), cnt,
           key.prefix);
-      if (m < 0) return -1;
-      while (m > 0 && c.read(leaf->recs[m - 1].key) == key.prefix) --m;
-      for (; m < cnt && c.read(leaf->recs[m].key) == key.prefix; ++m) {
-        if (box_key_compare(c, Traits::rec_box(c, leaf, m), key.data,
-                            key.len) == 0) {
-          return m;
+      if (lo < 0) return -1;
+      int hi = lo + 1;
+      while (hi < cnt && c.read(leaf->recs[hi].key) == key.prefix) ++hi;
+      const auto box_at = [&](int i) { return Traits::rec_box(c, leaf, i); };
+      prefetch_run(c, lo, hi, box_at);
+      while (lo < hi) {
+        const int mid = (lo + hi) / 2;
+        const int cmp = box_key_compare(c, box_at(mid), key.data, key.len);
+        if (cmp == 0) return mid;
+        if (cmp < 0) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
         }
       }
       return -1;

@@ -12,8 +12,9 @@
 // design (DESIGN.md §16):
 //   - kUrl: host-first URL paths built from a small host/word corpus. Keys
 //     are 30–70 bytes and share long prefixes (only ~8 distinct leading
-//     8-byte slices), so in-node SIMD prefix search degenerates and most
-//     comparisons fall through to the out-of-line suffix tie-break.
+//     8-byte slices), so in-node prefix search only bounds long equal-slice
+//     runs and most probes end in the out-of-line suffix tie-break: node
+//     search binary-searches each run by box compares.
 //   - kUuid: canonical 8-4-4-4-12 hex UUIDs. Fixed 36 bytes, uniformly
 //     random leading slice, so the prefix discriminates almost every
 //     comparison and the suffix path is nearly idle.

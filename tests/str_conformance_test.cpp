@@ -13,6 +13,7 @@
 // differences beyond the first 8 bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,6 +24,7 @@
 #include "ctx/native_ctx.hpp"
 #include "ctx/sim_ctx.hpp"
 #include "tree_conformance.hpp"
+#include "trees/node/consecutive.hpp"
 #include "trees/registry.hpp"
 #include "util/memstats.hpp"
 #include "workload/strkeys.hpp"
@@ -172,45 +174,50 @@ TEST_P(StrConformance, OracleNative) {
 
 // Chunked scans with a cursor: the string successor of key K is K + '\0'
 // (the shortest strictly-greater key), so resuming there must reproduce one
-// contiguous, complete, ordered sweep for any chunk size.
-TEST_P(StrConformance, ChunkedScanSweepSim) {
-  sim::Simulation simulation(test_sim_config());
-  ctx::SimCtx c(simulation, 0);
-  auto tree = GetParam().make_sim_str(c, TreeBuildOptions{});
-
-  const workload::StringKeySpace ks(workload::KeyStyle::kUuid, 923);
+// contiguous, complete, ordered sweep for any chunk size. The corpus is url
+// keys plus the torture corpus, so leaves hold long equal-slice runs; chunk
+// sizes around the fanout (15, 16, 17) make resumed starts land inside
+// those runs, on leaf boundaries, and at absent K + '\0' keys.
+template <class Ctx>
+void chunked_scan_sweep(trees::AnyStrTree<Ctx>& tree, Ctx& c) {
+  const workload::StringKeySpace ks(workload::KeyStyle::kUrl, 923);
+  const std::vector<std::string> torture = torture_keys();
   StrOracle oracle;
   Xoshiro256 rng(923);
   for (int i = 0; i < 1500; ++i) {
-    const std::string key = ks.key_of(rng.next_bounded(900));
+    const std::uint64_t r = rng.next();
+    const std::string key =
+        (r & 3) == 0 ? torture[r % torture.size()] : ks.key_of(r % 900);
     if (rng.next_bounded(4) == 0) {
-      tree->erase(c, BytesView(key));
+      tree.erase(c, BytesView(key));
       oracle.erase(key);
     } else {
       const Value v = rng.next();
       const std::string payload = ks.payload_of(i, v, 24);
-      tree->put(c, BytesView(key), v, BytesView(payload));
+      tree.put(c, BytesView(key), v, BytesView(payload));
       oracle[key] = {v, payload};
     }
   }
-  for (const std::size_t chunk :
-       {std::size_t{1}, std::size_t{7}, std::size_t{33}}) {
-    std::string start;  // empty = before every key
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{15},
+                                  std::size_t{16}, std::size_t{17},
+                                  std::size_t{33}}) {
+    std::string start;  // empty = slice 0, before every key
     std::size_t total = 0;
     auto it = oracle.begin();
     for (;;) {
       std::vector<std::tuple<std::string, Value, std::string>> batch;
       const std::size_t n =
-          tree->scan(c, BytesView(start), chunk,
-                     [&](BytesView k, Value v, BytesView p) {
-                       batch.emplace_back(k.to_string(), v, p.to_string());
-                     });
+          tree.scan(c, BytesView(start), chunk,
+                    [&](BytesView k, Value v, BytesView p) {
+                      batch.emplace_back(k.to_string(), v, p.to_string());
+                    });
       ASSERT_EQ(n, batch.size());
       for (std::size_t j = 0; j < n; ++j, ++it) {
         ASSERT_NE(it, oracle.end()) << "chunk=" << chunk;
         ASSERT_EQ(std::get<0>(batch[j]), it->first) << "chunk=" << chunk;
         ASSERT_EQ(std::get<1>(batch[j]), it->second.first) << "chunk=" << chunk;
-        ASSERT_EQ(std::get<2>(batch[j]), it->second.second) << "chunk=" << chunk;
+        ASSERT_EQ(std::get<2>(batch[j]), it->second.second)
+            << "chunk=" << chunk;
       }
       total += n;
       if (n < chunk) break;
@@ -219,8 +226,26 @@ TEST_P(StrConformance, ChunkedScanSweepSim) {
     ASSERT_EQ(it, oracle.end()) << "chunk=" << chunk;
     ASSERT_EQ(total, oracle.size()) << "chunk=" << chunk;
   }
-  tree->check_invariants();
-  tree->destroy(c);
+  // One past the last key: nothing left to emit.
+  ASSERT_FALSE(oracle.empty());
+  const std::string past = oracle.rbegin()->first + std::string(1, '\0');
+  const std::size_t n = tree.scan(c, BytesView(past), 8,
+                                  [](BytesView, Value, BytesView) {});
+  ASSERT_EQ(n, 0u);
+  tree.check_invariants();
+  tree.destroy(c);
+}
+
+TEST_P(StrConformance, ChunkedScanSweepSim) {
+  sim::Simulation simulation(test_sim_config());
+  ctx::SimCtx c(simulation, 0);
+  chunked_scan_sweep(*GetParam().make_sim_str(c, TreeBuildOptions{}), c);
+}
+
+TEST_P(StrConformance, ChunkedScanSweepNative) {
+  ctx::NativeEnv env;
+  ctx::NativeCtx c(env, 0);
+  chunked_scan_sweep(*GetParam().make_native_str(c, TreeBuildOptions{}), c);
 }
 
 // Value indirection reclamation: overwrites retire the previous box through
@@ -388,6 +413,82 @@ TEST_P(StrConformance, NativeConcurrentStress) {
     }
   }
   tree->destroy(verify);
+}
+
+// Node search over one equal-slice run. Every key of a node shares its
+// 8-byte slice, so the native search resolves each probe inside the run:
+// child_index bounds it with count_le and leaf_find with find_eq_pairs,
+// then both binary-search the boxes. Checked for every node size up to the
+// fanout and every probe key against a host-side bytes_compare bound. The
+// all-zero slice (empty key, NUL bytes) exercises the count_le bound that
+// has no smaller slice below it.
+void check_single_run_nodes(std::vector<std::string> keys) {
+  using Traits = trees::node::BytesKeyTraits;
+  using Node = trees::node::VersionedNode<trees::kDefaultFanout, Traits>;
+  const auto less = [](const std::string& a, const std::string& b) {
+    return trees::node::bytes_compare(a.data(), a.size(), b.data(),
+                                      b.size()) < 0;
+  };
+  std::sort(keys.begin(), keys.end(), less);
+  ASSERT_LE(keys.size(), static_cast<std::size_t>(Node::kFanout));
+  const std::uint64_t slice = trees::node::bytes_prefix(BytesView(keys[0]));
+  for (const auto& k : keys) {
+    ASSERT_EQ(trees::node::bytes_prefix(BytesView(k)), slice) << k;
+  }
+  std::vector<std::string> probes = {"", std::string(1, '\0'), "pfx8---",
+                                     "pfx8---.", "pfx8----", "\xff"};
+  for (const auto& k : keys) {
+    probes.push_back(k);
+    probes.push_back(k + std::string(1, '\0'));
+    probes.push_back(k + "\xff");
+    if (!k.empty()) probes.push_back(k.substr(0, k.size() - 1));
+  }
+
+  ctx::NativeEnv env;
+  ctx::NativeCtx c(env, 0);
+  Node* leaf = Node::alloc(c, true);
+  Node* inner = Node::alloc(c, false);
+  std::vector<trees::node::BytesBox*> boxes;
+  for (const auto& k : keys) {
+    boxes.push_back(trees::node::make_box(c, BytesView(k), 0, {}));
+  }
+  for (std::size_t cnt = 1; cnt <= keys.size(); ++cnt) {
+    for (std::size_t i = 0; i < cnt; ++i) {
+      leaf->recs[i].key = slice;
+      leaf->recs[i].value = reinterpret_cast<std::uint64_t>(boxes[i]);
+      inner->idx.keys[i] = slice;
+      inner->idx.seps[i] = boxes[i];
+    }
+    leaf->count = static_cast<std::uint32_t>(cnt);
+    inner->count = static_cast<std::uint32_t>(cnt);
+    const auto end = keys.begin() + static_cast<std::ptrdiff_t>(cnt);
+    for (const auto& p : probes) {
+      const Traits::Arg arg = Traits::make_arg(BytesView(p));
+      const auto lb = std::lower_bound(keys.begin(), end, p, less);
+      const int want_leaf =
+          lb != end && *lb == p ? static_cast<int>(lb - keys.begin()) : -1;
+      const int want_child =
+          static_cast<int>(std::upper_bound(keys.begin(), end, p, less) -
+                           keys.begin());
+      ASSERT_EQ(trees::node::leaf_find<Traits>(c, leaf, arg), want_leaf)
+          << "cnt=" << cnt << " probe=" << p;
+      ASSERT_EQ(trees::node::child_index<Traits>(c, inner, arg), want_child)
+          << "cnt=" << cnt << " probe=" << p;
+    }
+  }
+  for (auto* b : boxes) trees::node::free_box(c, b);
+  c.free(leaf, sizeof(Node), MemClass::kLeafNode);
+  c.free(inner, sizeof(Node), MemClass::kInternalNode);
+}
+
+TEST(StrNodeSearch, SingleRunNodeNative) {
+  std::vector<std::string> pfx = torture_keys();
+  pfx.push_back("pfx8----b");
+  check_single_run_nodes(pfx);
+  const std::string z8(8, '\0');
+  check_single_run_nodes({"", std::string(1, '\0'), std::string(2, '\0'), z8,
+                          z8 + std::string(1, '\0'), z8 + "a", z8 + "\x80",
+                          z8 + std::string(8, 'q') + "r"});
 }
 
 std::string entry_test_name(const ::testing::TestParamInfo<TreeEntry>& info) {
