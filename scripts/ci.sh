@@ -24,6 +24,13 @@
 # >15% ns-per-access regression, obs-on overhead above 25%, SIMD search
 # speedups below their floors, or any bit-identity tripwire.
 #
+# Last, the default job smokes the repository benchmark: it runs
+# `python3 perfbench/run.py --workload W --seconds 1` for each of its four
+# workloads (sim-hot, sim-low, kv-store, str-scan) and fails unless the last
+# stdout line, the benchmark's JSON result, reports "correct": true and
+# "failed": 0. That is the one place CI runs the benchmark's own output
+# checks: scan order, final tree size, and freed <= retired suffix boxes.
+#
 # The tsan job rebuilds with -DEUNO_TSAN=ON and runs the `parallel` label
 # (the OS-thread sweep runner), the `lin` label (the linearizability suite,
 # whose lin_explore fixture fans runs out across threads via --jobs), and
@@ -95,6 +102,14 @@ case "$job" in
       -o build/obs_native_report.html
     (cd build && ./bench/sim_selfperf --quick)
     python3 scripts/check_selfperf.py build/BENCH_sim_selfperf.json
+    for w in sim-hot sim-low kv-store str-scan; do
+      python3 perfbench/run.py --workload "$w" --seconds 1 | tail -n 1 |
+        python3 -c 'import json, sys
+r = json.loads(sys.stdin.read())
+ok = r["correct"] is True and r["failed"] == 0
+print("perfbench %s: correct=%s failed=%s" % (sys.argv[1], r["correct"], r["failed"]))
+sys.exit(0 if ok else 1)' "$w"
+    done
     ;;
   tsan)
     cmake -B build-tsan -S . -DEUNO_TSAN=ON

@@ -694,6 +694,9 @@ class BPlusTree {
       const int n = static_cast<int>(c.read(leaf->count));
       Traits::scan_fill(c, leaf, n, cursor, tmp, tn, max_items - got);
       Node* next = c.read(leaf->next);
+      // The scan continues into `next`: start its miss now so it overlaps
+      // this leaf's emission instead of following it.
+      if (got + tn < max_items) c.prefetch(next, sizeof(*next));
       if (!policy_.validate(c, leaf, v)) {
         // Re-locate from the cursor; nothing emitted from this attempt.
         std::size_t sub = scan_optimistic<Dst>(c, cursor, max_items - got,

@@ -33,6 +33,7 @@
 
 #include "sim/line.hpp"
 #include "trees/common.hpp"
+#include "trees/node/simd_search.hpp"
 #include "util/assert.hpp"
 #include "util/memstats.hpp"
 
@@ -591,17 +592,22 @@ struct BytesKeyTraits {
   /// Fills a leaf's scan candidates while tn < limit. Records are sorted, so
   /// only the run start needs compares: record 0 at or after the cursor (the
   /// one compare every later leaf of a scan needs) takes the whole leaf;
-  /// otherwise the leaf's boxes are prefetched and the first record at or
-  /// after the cursor is binary-searched. Records from there are taken
-  /// without further compares.
+  /// otherwise the first record at or after the cursor is binary-searched.
+  /// Records from there are taken without further compares. Each box the
+  /// search or the emission reads is prefetched once, so a leaf's box misses
+  /// overlap instead of following one another. The search's prefetch loop
+  /// reads pointers for nothing else, so it runs under raw-memory contexts
+  /// only: SimCtx drops the hint but would charge the reads.
   template <class Ctx, class Node>
   static void scan_fill(Ctx& c, Node* leaf, int n, const Cursor& cursor,
                         ScanTmp* tmp, std::size_t& tn, std::size_t limit) {
     if (n == 0 || tn >= limit) return;
     int lo = 0;
     if (before_cursor(c, leaf, 0, cursor, c.read(leaf->recs[0].key))) {
-      for (int i = 1; i < n; ++i) {
-        c.prefetch(rec_box(c, leaf, i), BytesBox::kPrefetchBytes);
+      if constexpr (ctx_raw_memory_v<Ctx>) {
+        for (int i = 1; i < n; ++i) {
+          c.prefetch(rec_box(c, leaf, i), BytesBox::kPrefetchBytes);
+        }
       }
       lo = 1;
       for (int hi = n; lo < hi;) {
@@ -614,8 +620,13 @@ struct BytesKeyTraits {
         }
       }
     }
+    // lo > 0: the search above already prefetched every box from slot 1.
+    const bool hint = lo == 0;
     for (int i = lo; i < n && tn < limit; ++i) {
-      tmp[tn++] = ScanTmp{c.read(leaf->recs[i].key), rec_box(c, leaf, i)};
+      const Key p = c.read(leaf->recs[i].key);
+      BytesBox* box = rec_box(c, leaf, i);
+      if (hint) c.prefetch(box, BytesBox::kPrefetchBytes);
+      tmp[tn++] = ScanTmp{p, box};
     }
   }
   /// Post-validate emit: the box is immutable and epoch-protected, so its

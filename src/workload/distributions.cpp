@@ -50,6 +50,7 @@ ZipfianDist::ZipfianDist(std::uint64_t n, double theta) : n_(n), theta_(theta) {
   alpha_ = 1.0 / (1.0 - theta);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
          (1.0 - zeta2theta_ / zetan_);
+  rank1_bound_ = 1.0 + std::pow(0.5, theta);
 }
 
 std::uint64_t ZipfianDist::sample(Xoshiro256& rng) {
@@ -58,7 +59,7 @@ std::uint64_t ZipfianDist::sample(Xoshiro256& rng) {
   const double u = rng.next_double();
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < rank1_bound_) return 1;
   const auto rank = static_cast<std::uint64_t>(
       static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   return rank >= n_ ? n_ - 1 : rank;

@@ -69,6 +69,7 @@ class ZipfianDist final : public RankDistribution {
   double zetan_;
   double eta_;
   double zeta2theta_;
+  double rank1_bound_;  // 1 + 0.5^θ: u·ζ(n) below it (and >= 1) draws rank 1
 };
 
 /// Gray et al. self-similar distribution: fraction h of accesses hit fraction

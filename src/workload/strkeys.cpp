@@ -1,7 +1,6 @@
 #include "workload/strkeys.hpp"
 
-#include <cstdio>
-
+#include "util/assert.hpp"
 #include "util/hash.hpp"
 
 namespace euno::workload {
@@ -42,11 +41,15 @@ constexpr const char* kWords[16] = {
 constexpr char kPayloadAlphabet[] =
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
 
+/// Appends `v` as exactly `digits` zero-padded lowercase hex digits.
 void append_hex(std::string* s, std::uint64_t v, int digits) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%0*llx", digits,
-                static_cast<unsigned long long>(v));
-  s->append(buf);
+  EUNO_ASSERT(digits >= 1 && digits <= 16);
+  EUNO_ASSERT(digits == 16 || v >> (4 * digits) == 0);
+  char buf[16];
+  for (int i = digits - 1; i >= 0; --i, v >>= 4) {
+    buf[i] = "0123456789abcdef"[v & 15];
+  }
+  s->append(buf, static_cast<std::size_t>(digits));
 }
 
 }  // namespace

@@ -124,15 +124,15 @@ TEST(Driver, BytesStoreSimPinned) {
   spec.obs.latency = true;
   spec.store.shards = 4;
   const auto r = run_sim_experiment(spec);
-  EXPECT_EQ(r.sim_cycles, 647335u);
+  EXPECT_EQ(r.sim_cycles, 635002u);
   EXPECT_EQ(r.commits, 2000u);
-  EXPECT_EQ(r.attempts, 2041u);
-  EXPECT_EQ(r.aborts_total, 41u);
+  EXPECT_EQ(r.attempts, 2022u);
+  EXPECT_EQ(r.aborts_total, 22u);
   EXPECT_EQ(r.admitted_ops, 2000u);
   EXPECT_EQ(r.suffix_bytes, 378432u);
   EXPECT_EQ(r.mem_total, 475072u);
   // Latency is an obs channel: zero when observability is compiled out.
-  EXPECT_EQ(r.lat_p99, obs::kCompiledIn ? 4608.0 : 0.0);
+  EXPECT_EQ(r.lat_p99, obs::kCompiledIn ? 4480.0 : 0.0);
 }
 
 // All four native paths (tree or store, u64 or bytes keys) through the

@@ -14,8 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -415,6 +418,107 @@ TEST_P(StrConformance, NativeConcurrentStress) {
   tree->destroy(verify);
 }
 
+// Native scans over url keys, whose long equal-slice runs make scans start
+// inside runs and cross leaves, next to writers that overwrite existing keys
+// (retiring boxes a scan may have collected) and insert new ones (splitting
+// leaves a scan is walking). Every scan must emit strictly ascending keys, none
+// below its start and at most its length, and only boxes whose value word and
+// payload belong to their key: the value carries the key's id, so a box
+// decoded after reclamation shows as a mismatch here and as a hard fault
+// under ASan.
+TEST_P(StrConformance, NativeConcurrentScans) {
+  ctx::NativeEnv env;
+  ctx::NativeCtx setup(env, 0);
+  auto tree = GetParam().make_native_str(setup, TreeBuildOptions{});
+
+  constexpr int kThreads = 4;
+  constexpr int kOps = 4000;
+  constexpr std::uint64_t kPreload = 1024;
+  constexpr std::uint32_t kPayload = 24;
+  constexpr std::uint64_t kSeed = 926;
+  const workload::StringKeySpace ks(workload::KeyStyle::kUrl, kSeed);
+  const auto put_id = [&](ctx::NativeCtx& c, std::uint64_t id,
+                          std::uint64_t salt) {
+    const std::string key = ks.key_of(id);
+    const Value v = (id << 20) | salt;
+    const std::string payload = ks.payload_of(id, v, kPayload);
+    tree->put(c, BytesView(key), v, BytesView(payload));
+  };
+  for (std::uint64_t id = 0; id < kPreload; ++id) put_id(setup, id, 0);
+
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::uint64_t> inserted(kThreads, 0);
+  std::vector<std::uint64_t> scanned(kThreads, 0);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      ctx::NativeCtx c(env, t);
+      Xoshiro256 rng(kSeed + static_cast<std::uint64_t>(t));
+      // Start together, so the scans overlap the other threads' writes.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      std::string& err = errors[t];
+      for (int i = 0; i < kOps && err.empty(); ++i) {
+        const std::uint64_t kind = rng.next_bounded(10);
+        if (kind >= 8) {  // insert a key of this thread's own id stripe
+          put_id(c, kPreload + t + kThreads * inserted[t]++, 0);
+          continue;
+        }
+        if (kind >= 5) {  // overwrite a preloaded key
+          put_id(c, rng.next_bounded(kPreload), i + 1);
+          continue;
+        }
+        const std::string start =
+            ks.key_of(rng.next_bounded(kPreload + kThreads * kOps / 4));
+        const std::size_t len = 1 + rng.next_bounded(48);
+        std::string prev;
+        std::size_t emitted = 0;
+        const std::size_t n = tree->scan(
+            c, BytesView(start), len, [&](BytesView k, Value v, BytesView p) {
+              if (!err.empty()) return;
+              const std::string key = k.to_string();
+              const std::string& bound = emitted == 0 ? start : prev;
+              const int cmp = trees::node::bytes_compare(
+                  key.data(), key.size(), bound.data(), bound.size());
+              ++emitted;
+              // Url keys end in their id as 16 hex digits.
+              const std::uint64_t id =
+                  key.size() < 16 ? ~0ull
+                                  : std::strtoull(key.c_str() + key.size() - 16,
+                                                  nullptr, 16);
+              if (cmp < 0 || (cmp == 0 && emitted > 1)) {
+                err = "order: " + key + " after " + bound;
+              } else if (v >> 20 != id) {
+                err = "value of " + key + " names id " +
+                      std::to_string(v >> 20);
+              } else if (p.to_string() != ks.payload_of(id, v, kPayload)) {
+                err = "payload of " + key;
+              }
+              prev = key;
+            });
+        scanned[t] += n;
+        if (err.empty() && (n != emitted || n > len)) {
+          err = "scan from " + start + " returned " + std::to_string(n) +
+                ", emitted " + std::to_string(emitted) + ", len " +
+                std::to_string(len);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(errors[t], "") << "thread " << t;
+    EXPECT_GT(scanned[t], 0u) << "thread " << t;
+  }
+
+  tree->check_invariants();
+  std::uint64_t total = kPreload;
+  for (const std::uint64_t n : inserted) total += n;
+  ASSERT_EQ(tree->size_slow(), total);
+  tree->destroy(setup);
+}
+
 // Node search over one equal-slice run. Every key of a node shares its
 // 8-byte slice, so the native search resolves each probe inside the run:
 // child_index bounds it with count_le and leaf_find with find_eq_pairs,
@@ -489,6 +593,102 @@ TEST(StrNodeSearch, SingleRunNodeNative) {
   check_single_run_nodes({"", std::string(1, '\0'), std::string(2, '\0'), z8,
                           z8 + std::string(1, '\0'), z8 + "a", z8 + "\x80",
                           z8 + std::string(8, 'q') + "r"});
+}
+
+/// SimCtx that notes which records of one leaf its instrumented reads touch
+/// (the reads a simulated region charges for and tracks).
+class RecordReadLog : public ctx::SimCtx {
+ public:
+  RecordReadLog(sim::Simulation& s, const trees::node::Record* recs, int n)
+      : SimCtx(s, 0), lo_(recs), hi_(recs + n) {}
+
+  template <class T>
+  T read(const T& src) {
+    const auto* p = reinterpret_cast<const char*>(&src);
+    const auto* lo = reinterpret_cast<const char*>(lo_);
+    if (p >= lo && p < reinterpret_cast<const char*>(hi_)) {
+      touched.insert(static_cast<int>((p - lo) / sizeof(trees::node::Record)));
+    }
+    return SimCtx::read(src);
+  }
+
+  std::set<int> touched;
+
+ private:
+  const trees::node::Record* lo_;
+  const trees::node::Record* hi_;
+};
+
+// A scan that starts mid-leaf binary-searches its start and takes records
+// from there. Under an instrumented context it may read only those records:
+// record 0, the search's probes and the records it takes. Reading any other
+// record's box pointer (say, to feed a prefetch hint, which SimCtx drops)
+// would charge simulated cost and grow the region's read set for nothing.
+// Checked for every start and several take limits over a full leaf of url
+// keys (several slices, long equal-slice runs).
+TEST(StrScanFill, MidLeafStartReadsOnlyProbedAndTakenRecords) {
+  using Traits = trees::node::BytesKeyTraits;
+  using Node = trees::node::VersionedNode<trees::kDefaultFanout, Traits>;
+  constexpr int n = Node::kFanout;
+  const workload::StringKeySpace ks(workload::KeyStyle::kUrl, 927);
+  std::vector<std::string> keys;
+  for (std::uint64_t id = 0; id < n; ++id) keys.push_back(ks.key_of(id));
+  const auto less = [](const std::string& a, const std::string& b) {
+    return trees::node::bytes_compare(a.data(), a.size(), b.data(),
+                                      b.size()) < 0;
+  };
+  std::sort(keys.begin(), keys.end(), less);
+
+  sim::Simulation simulation(test_sim_config());
+  ctx::SimCtx sc(simulation, 0);
+  Node* leaf = Node::alloc(sc, true);
+  for (int i = 0; i < n; ++i) {
+    leaf->recs[i].key = trees::node::bytes_prefix(BytesView(keys[i]));
+    leaf->recs[i].value = reinterpret_cast<std::uint64_t>(
+        trees::node::make_box(sc, BytesView(keys[i]), 0, {}));
+  }
+  leaf->count = n;
+
+  for (int start = 1; start < n; ++start) {
+    for (const std::size_t limit : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{n}}) {
+      // The records the start search probes: record 0, then the binary
+      // search over [1, n).
+      std::set<int> allowed = {0};
+      for (int lo = 1, hi = n; lo < hi;) {
+        const int mid = (lo + hi) / 2;
+        allowed.insert(mid);
+        if (less(keys[mid], keys[start])) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      const int end = std::min(n, start + static_cast<int>(limit));
+      for (int i = start; i < end; ++i) allowed.insert(i);
+
+      RecordReadLog c(simulation, &leaf->recs[0], n);
+      const Traits::Cursor cursor =
+          Traits::make_cursor(Traits::make_arg(BytesView(keys[start])));
+      Traits::ScanTmp tmp[n];
+      std::size_t tn = 0;
+      Traits::scan_fill(c, leaf, n, cursor, tmp, tn, limit);
+      ASSERT_EQ(tn, static_cast<std::size_t>(end - start));
+      for (std::size_t i = 0; i < tn; ++i) {
+        ASSERT_EQ(tmp[i].box->key().to_string(), keys[start + i]);
+      }
+      for (const int i : c.touched) {
+        EXPECT_TRUE(allowed.count(i) != 0)
+            << "start=" << start << " limit=" << limit
+            << ": read record " << i << ", neither probed nor taken";
+      }
+    }
+  }
+  for (int i = 0; i < n; ++i) {
+    trees::node::free_box(
+        sc, reinterpret_cast<trees::node::BytesBox*>(leaf->recs[i].value));
+  }
+  sc.free(leaf, sizeof(Node), MemClass::kLeafNode);
 }
 
 std::string entry_test_name(const ::testing::TestParamInfo<TreeEntry>& info) {

@@ -2,10 +2,15 @@
 // parameterizations, op mixes honour their ratios, streams are deterministic.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "util/hash.hpp"
 #include "workload/distributions.hpp"
+#include "workload/strkeys.hpp"
 #include "workload/ycsb.hpp"
 
 namespace euno::workload {
@@ -63,6 +68,45 @@ TEST(Zipfian, Rank0IsHottest) {
     if (r == kN / 2) rank_other++;
   }
   EXPECT_GT(rank0, rank_other * 10);
+}
+
+// The sampler keeps its draw-independent terms as members; every seeded
+// stream must stay bit-identical to the per-draw formula (Gray et al., as in
+// YCSB's ZipfianGenerator) evaluated here from scratch.
+TEST(Zipfian, SampleSequenceMatchesPerDrawFormula) {
+  constexpr std::uint64_t n = 5000;
+  for (double theta : {0.0, 0.2, 0.5, 0.99}) {
+    double zetan = 0, zeta2 = 0;
+    for (std::uint64_t i = 1; i <= n; ++i) {
+      const double inv = 1.0 / std::pow(static_cast<double>(i), theta);
+      zetan += inv;
+      if (i <= 2) zeta2 += inv;
+    }
+    const double alpha = 1.0 / (1.0 - theta);
+    const double eta =
+        (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+        (1.0 - zeta2 / zetan);
+    ZipfianDist z(n, theta);
+    Xoshiro256 rng(7), ref(7);
+    std::uint64_t rank1 = 0;
+    for (int i = 0; i < 50000; ++i) {
+      const double u = ref.next_double();
+      const double uz = u * zetan;
+      std::uint64_t want = 0;
+      if (uz < 1.0) {
+        want = 0;
+      } else if (uz < 1.0 + std::pow(0.5, theta)) {
+        want = 1;
+      } else {
+        want = static_cast<std::uint64_t>(
+            static_cast<double>(n) * std::pow(eta * u - eta + 1.0, alpha));
+        if (want >= n) want = n - 1;
+      }
+      rank1 += want == 1;
+      ASSERT_EQ(z.sample(rng), want) << "theta=" << theta << " draw " << i;
+    }
+    EXPECT_GT(rank1, 0u) << "theta=" << theta;
+  }
 }
 
 TEST(SelfSimilar, EightyTwentyRule) {
@@ -189,6 +233,63 @@ TEST(WorkloadSpec, DescribeMentionsKeyFacts) {
   const auto d = spec.describe();
   EXPECT_NE(d.find("zipfian"), std::string::npos);
   EXPECT_NE(d.find("0.9"), std::string::npos);
+}
+
+// Key text is part of every bytes-domain run's identity (key order, slices,
+// goldens): pin exact strings for a few ids in both styles.
+TEST(StringKeySpace, PinnedKeyText) {
+  const StringKeySpace url(KeyStyle::kUrl, 42);
+  EXPECT_EQ(url.key_of(0), "cache.internal.net/media/feed/0000000000000000");
+  EXPECT_EQ(url.key_of(1),
+            "alpha.example.com/users/inventory/0000000000000001");
+  EXPECT_EQ(url.key_of(255),
+            "host.example.com/profile/search/00000000000000ff");
+  EXPECT_EQ(url.key_of(1000003),
+            "cache.internal.net/media/keys/00000000000f4243");
+  EXPECT_EQ(url.key_of(0xfedcba9876543210ull),
+            "gateway.intra.net/assets/media/fedcba9876543210");
+  const StringKeySpace uuid(KeyStyle::kUuid, 42);
+  EXPECT_EQ(uuid.key_of(0), "3c3d5d42-8f04-45fa-bc3d-000000000000");
+  EXPECT_EQ(uuid.key_of(1), "bf1a7d19-1fec-4208-bf1a-000000000001");
+  EXPECT_EQ(uuid.key_of(255), "cff328b8-33be-4cb7-8ff3-0000000000ff");
+  EXPECT_EQ(uuid.key_of(1000003), "6ff0c6ce-ebf3-4efa-aff0-0000000f4243");
+  EXPECT_EQ(uuid.key_of(0xfedcba9876543210ull),
+            "29ada3e9-bc41-47be-a9ad-ba9876543210");
+}
+
+/// printf-formatted hex, the reference for key_of's digit writer.
+std::string hex_ref(std::uint64_t v, int digits) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%0*llx", digits,
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// Every hex field of thousands of seeded ids against snprintf: the url id
+// tail, and the whole uuid (all of it is hex drawn from the id's hash).
+TEST(StringKeySpace, HexFieldsMatchPrintf) {
+  for (const std::uint64_t seed : {1ull, 42ull, 0x9e3779b97f4a7c15ull}) {
+    const StringKeySpace url(KeyStyle::kUrl, seed);
+    const StringKeySpace uuid(KeyStyle::kUuid, seed);
+    Xoshiro256 rng(seed);
+    for (int i = 0; i < 4000; ++i) {
+      // Small ids, then random widths up to 64 bits.
+      const std::uint64_t shift = rng.next() & 63;
+      const std::uint64_t id =
+          i < 64 ? static_cast<std::uint64_t>(i) : rng.next() >> shift;
+      const std::string u = url.key_of(id);
+      ASSERT_GE(u.size(), 17u);
+      ASSERT_EQ(u.substr(u.size() - 17), "/" + hex_ref(id, 16)) << u;
+      const std::uint64_t h = mix64(seed ^ mix64(id + 1));
+      const std::string want =
+          hex_ref((h >> 32) & 0xffffffffull, 8) + "-" +
+          hex_ref((h >> 16) & 0xffffull, 4) + "-" +
+          hex_ref(0x4000 | (h & 0x0fff), 4) + "-" +
+          hex_ref(0x8000 | ((h >> 48) & 0x3fff), 4) + "-" +
+          hex_ref(id & 0xffffffffffffull, 12);
+      ASSERT_EQ(uuid.key_of(id), want) << "id " << id;
+    }
+  }
 }
 
 }  // namespace
